@@ -396,7 +396,7 @@ void BM_BerSweepParallel(benchmark::State& state) {
     points.push_back(c);
   }
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50);
+    const auto sweep = core::sweep_ber_adaptive(points, sim::fixed_budget(50));
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
@@ -426,12 +426,10 @@ void BM_BerWaterfallMemoized(benchmark::State& state) {
   // The same 8 x 50 waterfall with TX-scene memoization: each packet's
   // pre-noise scene (TX chain, upsampling, impairments) is built at one SNR
   // point and replayed at the other seven. Bit-identical to the unmemoized
-  // sweep below.
+  // per-point runs below.
   const auto points = waterfall_points();
-  core::SweepOptions opts;
-  opts.memoize_tx = true;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50, opts);
+    const auto sweep = core::sweep_ber_adaptive(points, sim::fixed_budget(50));
     benchmark::DoNotOptimize(sweep.data());
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
@@ -441,13 +439,14 @@ BENCHMARK(BM_BerWaterfallMemoized)
     ->Iterations(1);
 
 void BM_BerWaterfallUnmemoized(benchmark::State& state) {
-  // Reference: every point rebuilds every packet from scratch.
+  // Reference: one call per point, so every point rebuilds every packet
+  // from scratch.
   const auto points = waterfall_points();
-  core::SweepOptions opts;
-  opts.memoize_tx = false;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, 50, opts);
-    benchmark::DoNotOptimize(sweep.data());
+    for (const core::LinkConfig& p : points) {
+      const auto r = core::run_ber_adaptive(p, sim::fixed_budget(50));
+      benchmark::DoNotOptimize(&r);
+    }
   }
   state.SetItemsProcessed(state.iterations() * 8 * 50);
 }
@@ -511,7 +510,8 @@ void BM_BerSweepFixedBudget(benchmark::State& state) {
   const auto points = deep_waterfall_points();
   const std::size_t budget = deep_waterfall_rule().max_packets;
   for (auto _ : state) {
-    const auto sweep = core::sweep_ber_parallel(points, budget);
+    const auto sweep =
+        core::sweep_ber_adaptive(points, sim::fixed_budget(budget));
     benchmark::DoNotOptimize(sweep.data());
   }
   state.counters["packets"] = static_cast<double>(8 * budget);
@@ -562,14 +562,15 @@ BENCHMARK(BM_SurrogateCalibrateCold)
 
 void BM_SurrogateQueryWarm(benchmark::State& state) {
   // The payoff: a 40-point waterfall query against the warm store — one
-  // store read plus interpolation, zero Monte-Carlo packets (miss policy
-  // kError guarantees it). Target: >= 100x faster than BM_BerSweepAdaptive
-  // measuring the same span with packets.
+  // store read plus interpolation, zero Monte-Carlo packets (the run is
+  // rejected if any point went cold). Target: >= 100x faster than
+  // BM_BerSweepAdaptive measuring the same span with packets.
   const core::LinkConfig base = deep_waterfall_points()[0];
-  core::SurrogateOptions opts = bench_surrogate_opts();
-  std::filesystem::remove_all(opts.store_dir);
-  core::calibrate_ber_surrogate(base, 6.0, 13.0, opts);  // warm the store
-  opts.miss_policy = core::SurrogateMissPolicy::kError;
+  core::DedupOptions opts;
+  opts.surrogate = bench_surrogate_opts();
+  opts.bin_width_db = 0.0;
+  std::filesystem::remove_all(opts.surrogate.store_dir);
+  core::calibrate_ber_surrogate(base, 6.0, 13.0, opts.surrogate);  // warm it
 
   std::vector<core::LinkConfig> points;
   for (int k = 0; k < 40; ++k) {
@@ -578,15 +579,15 @@ void BM_SurrogateQueryWarm(benchmark::State& state) {
     points.push_back(c);
   }
   for (auto _ : state) {
-    try {
-      const auto sweep = core::sweep_ber_surrogate(points, opts);
-      benchmark::DoNotOptimize(sweep.data());
-    } catch (const std::exception& e) {
-      state.SkipWithError(e.what());
+    core::DedupStats stats;
+    const auto sweep = core::sweep_ber_deduped(points, opts, &stats);
+    benchmark::DoNotOptimize(sweep.data());
+    if (stats.cold != 0) {
+      state.SkipWithError("warm query ran Monte-Carlo packets");
       return;
     }
   }
-  std::filesystem::remove_all(opts.store_dir);
+  std::filesystem::remove_all(opts.surrogate.store_dir);
   state.SetItemsProcessed(state.iterations() * 40);
 }
 BENCHMARK(BM_SurrogateQueryWarm)->Unit(benchmark::kMillisecond)->Iterations(1);

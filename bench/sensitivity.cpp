@@ -37,10 +37,12 @@ sim::StoppingRule sens_rule() {
   return rule;
 }
 
-core::SurrogateOptions sens_opts() {
-  core::SurrogateOptions opts;
-  opts.axis = sim::SurrogateAxis::kRxPowerDbm;
-  opts.rule = sens_rule();
+/// Un-quantized surrogate queries: every level keeps its exact dBm value.
+core::DedupOptions sens_opts() {
+  core::DedupOptions opts;
+  opts.bin_width_db = 0.0;
+  opts.surrogate.axis = sim::SurrogateAxis::kRxPowerDbm;
+  opts.surrogate.rule = sens_rule();
   return opts;  // store_dir empty: default_calibration_dir()
 }
 
@@ -72,7 +74,7 @@ SensResult measure_sensitivity(phy::Rate rate) {
   }
   const auto t0 = clock::now();
   const std::vector<core::BerResult> results =
-      core::sweep_ber_surrogate(levels, sens_opts());
+      core::sweep_ber_deduped(levels, sens_opts());
   const auto t1 = clock::now();
 
   SensResult out;
@@ -101,7 +103,8 @@ SensResult measure_sensitivity(phy::Rate rate) {
 /// stored curve exactly).
 bool spot_check(phy::Rate rate, double dbm, const char* what) {
   const core::LinkConfig cfg = sens_config(rate, dbm);
-  const core::BerResult s = core::run_ber_surrogate(cfg, sens_opts());
+  const core::BerResult s = core::sweep_ber_deduped({&cfg, 1},
+                                                     sens_opts())[0];
   const core::BerResult mc = core::run_ber_adaptive(cfg, sens_rule());
   const double s_hw =
       std::isfinite(s.ber_ci_rel) ? s.ber() * s.ber_ci_rel : 0.0;

@@ -1,5 +1,6 @@
 #include "core/cliargs.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/surrogate.h"
@@ -73,6 +74,18 @@ long CliArgs::get_long(const std::string& key, long fallback) const {
   }
 }
 
+std::size_t CliArgs::get_count(const std::string& key, std::size_t fallback,
+                               std::size_t min) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  const long v = get_long(key, 0);
+  if (v < 0 || static_cast<std::size_t>(v) < min)
+    throw std::invalid_argument("option --" + key + " expects a count >= " +
+                                std::to_string(min) + ", got '" + it->second +
+                                "'");
+  return static_cast<std::size_t>(v);
+}
+
 std::vector<std::string> CliArgs::unused() const {
   std::vector<std::string> out;
   for (const auto& [k, v] : kv_) {
@@ -88,10 +101,13 @@ std::optional<sim::StoppingRule> stopping_rule_from_args(const CliArgs& args) {
   }
   sim::StoppingRule rule;
   rule.target_rel_ci = args.get_double("target-ci", rule.target_rel_ci);
-  rule.min_errors = static_cast<std::size_t>(args.get_long("min-errors", 100));
-  rule.min_packets = static_cast<std::size_t>(args.get_long("min-packets", 8));
-  rule.max_packets =
-      static_cast<std::size_t>(args.get_long("max-packets", 10000));
+  if (!std::isfinite(rule.target_rel_ci) || rule.target_rel_ci < 0.0)
+    throw std::invalid_argument(
+        "option --target-ci expects a finite number >= 0 (0 = fixed budget), "
+        "got '" + args.get_string("target-ci", "") + "'");
+  rule.min_errors = args.get_count("min-errors", rule.min_errors, 0);
+  rule.min_packets = args.get_count("min-packets", rule.min_packets, 0);
+  rule.max_packets = args.get_count("max-packets", rule.max_packets, 1);
   return rule;
 }
 

@@ -37,6 +37,11 @@ class CliArgs {
                          const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   long get_long(const std::string& key, long fallback) const;
+  /// A count: an integer >= `min`. Negative values (and values below
+  /// `min`) throw std::invalid_argument naming the option, instead of
+  /// wrapping to a huge unsigned count.
+  std::size_t get_count(const std::string& key, std::size_t fallback,
+                        std::size_t min) const;
   bool get_bool(const std::string& key) const { return has(key); }
 
   /// Keys that were provided but never read — surfaced as usage errors so
@@ -51,6 +56,8 @@ class CliArgs {
 /// Adaptive early-stopping rule from --target-ci / --min-errors /
 /// --max-packets / --min-packets: present when any of the four is given
 /// (defaults 0.10 / 100 / 10000 / 8), nullopt = fixed packet budget.
+/// Throws std::invalid_argument on a negative or non-finite --target-ci,
+/// a negative count, or --max-packets 0.
 std::optional<sim::StoppingRule> stopping_rule_from_args(const CliArgs& args);
 
 /// Surrogate / dedup evaluation options from --calib-dir plus the adaptive

@@ -77,8 +77,9 @@ struct PacketResult {
   double cfo_norm = 0.0;      ///< receiver CFO estimate
 };
 
-/// Confidence multiplier the fixed-budget engines report BER intervals at
-/// (95 %); the adaptive engine substitutes its StoppingRule::confidence_z.
+/// Confidence multiplier WlanLink::run_ber reports BER intervals at (95 %,
+/// the StoppingRule default); sweep_ber_adaptive uses its rule's
+/// confidence_z.
 inline constexpr double kDefaultConfidenceZ = 1.96;
 
 /// The per-packet RNG seed: a splitmix64-style mix of the configuration

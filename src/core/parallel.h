@@ -3,8 +3,14 @@
 // serial result bit-for-bit — parameter sweeps get a near-linear speedup
 // without giving up reproducibility.
 //
+// One engine answers every Monte-Carlo question: sweep_ber_adaptive runs a
+// list of configurations under a sim::StoppingRule. A fixed packet budget is
+// the rule with the CI test off (sim::fixed_budget(n): target_rel_ci = 0,
+// max_packets = n), and its results are bit-identical to
+// WlanLink(cfg).run_ber(n) for every field except wall_seconds.
+//
 // Work runs on the process-wide persistent ThreadPool; each worker thread
-// caches its WlanLink between calls (keyed by a config fingerprint), so a
+// caches its WlanLinks between calls (keyed by a config fingerprint), so a
 // sweep re-running the same configuration pays neither thread creation nor
 // link construction per point.
 #pragma once
@@ -19,47 +25,13 @@
 
 namespace wlansim::core {
 
-/// Run `num_packets` through `cfg` using `threads` workers (0 = the shared
-/// persistent pool at hardware concurrency; an explicit count runs on a
-/// dedicated pool of that size). The thread count never exceeds one worker
-/// per 8-packet chunk. Results are identical to
-/// WlanLink(cfg).run_ber(num_packets) bit for bit, including the EVM
-/// average's floating-point accumulation order.
-BerResult run_ber_parallel(const LinkConfig& cfg, std::size_t num_packets,
-                           std::size_t threads = 0);
-
 struct SweepOptions {
-  /// Worker count, run_ber_parallel semantics (0 = shared pool).
+  /// Worker count. 0 = the shared persistent pool at hardware concurrency;
+  /// an explicit count runs on a dedicated pool of that size, capped at one
+  /// worker per 8-packet chunk the sweep can run (configs x
+  /// ceil(max_packets / 8)); 1 = inline on the calling thread.
   std::size_t threads = 0;
-  /// Reuse each packet's noise-independent TX scene across sweep points
-  /// (see WlanLink::run_packet_memo). Applies when every config shares the
-  /// same TX-side fingerprint — the usual SNR waterfall — and is bit-exact:
-  /// results are identical to memoize_tx = false either way.
-  bool memoize_tx = true;
-  /// Lane width for the lockstep packet waves (WlanLink::run_packet_wave):
-  /// each ≤8-packet work chunk runs as one width-`count` SoA wave through
-  /// noise + RF + decimation. Purely a throughput knob — every lane is
-  /// bit-identical to the scalar path, so results never depend on it.
-  /// 1 (or 0) disables batching and runs the scalar reference path.
-  std::size_t batch_width = 8;
 };
-
-/// Measure every configuration of a sweep. Results are bit-identical to
-/// calling run_ber_parallel(configs[k], num_packets, threads) for each k.
-///
-/// When the configs differ only in noise level (SNR / antenna noise
-/// density / RF front-end fields), the sweep schedules (point, packet
-/// chunk) pairs jointly: a worker runs one chunk of packets across all
-/// sweep points before moving on, building each packet's TX scene once and
-/// replaying it at the other points.
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          const SweepOptions& opts = {});
-
-/// Back-compat overload: explicit worker count, TX memoization on.
-std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
-                                          std::size_t num_packets,
-                                          std::size_t threads);
 
 // ---------------------------------------------------------------------------
 // Adaptive Monte-Carlo engine (sequential early stopping)
@@ -87,38 +59,15 @@ std::vector<BerResult> sweep_ber_parallel(std::span<const LinkConfig> configs,
 //   3. each point's result is the packet-order reduction of its prefix
 //      [0, stop index), the exact arithmetic of WlanLink::run_ber.
 // With the CI test disabled (rule.target_rel_ci == 0) every point runs
-// exactly rule.max_packets and the statistics are bit-identical to
-// sweep_ber_parallel(configs, rule.max_packets, ...).
-
-/// Adaptive single-point measurement: run packets until `rule` stops.
-/// `threads` has run_ber_parallel semantics (0 = shared persistent pool).
-BerResult run_ber_adaptive(const LinkConfig& cfg, const sim::StoppingRule& rule,
-                           std::size_t threads = 0);
-
-/// Adaptive sweep: every point runs until `rule` stops it; active points
-/// share one work queue, so early-converging points donate their workers to
-/// the stragglers. TX-scene memoization (opts.memoize_tx) composes with the
-/// adaptive schedule whenever the configs share a TX fingerprint. Each
-/// BerResult carries the streaming statistics (packets run, errors, CI
-/// half-width, wall time to the stopping decision, converged flag).
-std::vector<BerResult> sweep_ber_adaptive(std::span<const LinkConfig> configs,
-                                          const sim::StoppingRule& rule,
-                                          const SweepOptions& opts = {});
-
-// ---------------------------------------------------------------------------
-// Resumable adaptive sweeps (checkpoint/restore at the stop quantum)
-// ---------------------------------------------------------------------------
+// exactly rule.max_packets, bit-identical to WlanLink::run_ber.
 //
-// The adaptive engine evaluates its stopping rule on in-order packet
-// prefixes at fixed 8-packet boundaries, and every packet is a pure
-// function of (config seed, packet index) — packet_seed's counter-based
-// contract. A point's state at any boundary therefore compresses to the
-// streaming reduction of its prefix: restart the engine with that state
-// and it schedules, folds, and stops exactly as the uninterrupted run
-// would from that boundary on. SweepPointProgress is that state, and
-// sweep_ber_adaptive_resumable is the entry point a service layer uses to
-// checkpoint million-point studies across process restarts (the file
-// format lives in service/checkpoint.h; core only defines the state).
+// Checkpoint/resume: a point's state at any 8-packet boundary compresses to
+// the streaming reduction of its prefix. Restart the engine with that state
+// and it schedules, folds, and stops exactly as the uninterrupted run would
+// from that boundary on. SweepPointProgress is that state; a service layer
+// passes an AdaptiveResume to checkpoint million-point studies across
+// process restarts (the file format lives in service/checkpoint.h; core
+// only defines the state).
 
 /// The boundary quantum [packets] at which adaptive progress is
 /// evaluated, checkpointable, and resumable.
@@ -141,8 +90,7 @@ struct SweepPointProgress {
   bool converged = false;           ///< rule met (vs. ran into the cap)
 };
 
-/// Resume state + per-wave observation hook for
-/// sweep_ber_adaptive_resumable.
+/// Resume state + per-wave observation hook for sweep_ber_adaptive.
 struct AdaptiveResume {
   /// In: the state to resume from — either empty (cold start) or exactly
   /// one entry per config, each a state a previous run reported (running
@@ -161,14 +109,28 @@ struct AdaptiveResume {
   bool preempted = false;
 };
 
-/// sweep_ber_adaptive with checkpoint/resume plumbing. With `resume`
-/// null (or default-constructed) this IS sweep_ber_adaptive; with a
-/// progress vector from an earlier (preempted) run it continues from that
+/// Adaptive sweep: every point runs until `rule` stops it; active points
+/// share one work queue, so early-converging points donate their workers to
+/// the stragglers. When the configs share a TX fingerprint, each packet's
+/// noise-independent TX scene is built once and replayed at every point
+/// (WlanLink::run_packet_memo), bit-exactly. Each BerResult carries the
+/// streaming statistics (packets run, errors, CI half-width, wall time to
+/// the stopping decision, converged flag). Throws std::invalid_argument when
+/// rule.max_packets is 0.
+///
+/// `resume` (optional) adds checkpoint/resume plumbing: with a progress
+/// vector from an earlier (preempted) run the sweep continues from that
 /// boundary, and the completed results are bit-identical to the
 /// uninterrupted run's for every field except wall_seconds (which measures
 /// this call, not the sum of attempts).
-std::vector<BerResult> sweep_ber_adaptive_resumable(
-    std::span<const LinkConfig> configs, const sim::StoppingRule& rule,
-    const SweepOptions& opts, AdaptiveResume* resume);
+std::vector<BerResult> sweep_ber_adaptive(std::span<const LinkConfig> configs,
+                                          const sim::StoppingRule& rule,
+                                          const SweepOptions& opts = {},
+                                          AdaptiveResume* resume = nullptr);
+
+/// Adaptive single-point measurement: run packets until `rule` stops.
+/// `threads` has SweepOptions::threads semantics.
+BerResult run_ber_adaptive(const LinkConfig& cfg, const sim::StoppingRule& rule,
+                           std::size_t threads = 0);
 
 }  // namespace wlansim::core

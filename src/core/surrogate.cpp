@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -178,97 +177,6 @@ sim::CalibrationCurve calibrate_ber_surrogate(const LinkConfig& base,
     view.put(curve);  // save failure tolerated: the store is a cache
   }
   return curve;
-}
-
-std::vector<BerResult> sweep_ber_surrogate(std::span<const LinkConfig> configs,
-                                           const SurrogateOptions& opts) {
-  if (configs.empty()) return {};
-
-  const std::string fp = surrogate_fingerprint(configs[0], opts.axis);
-  if (fp.empty()) {
-    throw std::invalid_argument(
-        "sweep_ber_surrogate: config not fingerprintable (custom_rf, or axis "
-        "snr_db with snr_db unset)");
-  }
-  for (std::size_t i = 1; i < configs.size(); ++i) {
-    if (surrogate_fingerprint(configs[i], opts.axis) != fp) {
-      throw std::invalid_argument(
-          "sweep_ber_surrogate: configs must differ only along the surrogate "
-          "axis (config " +
-          std::to_string(i) + " has a different fingerprint)");
-    }
-  }
-
-  sim::BerSurrogate local = make_local_view(opts);
-  sim::BerSurrogate& view = opts.cache ? *opts.cache : local;
-
-  std::vector<double> xs;
-  xs.reserve(configs.size());
-  for (const LinkConfig& c : configs) xs.push_back(axis_value(c, opts.axis));
-
-  const sim::CalibrationCurve* stored = view.lookup(fp);
-  const bool usable = stored && rule_matches(*stored, opts.rule);
-
-  std::vector<BerResult> out(configs.size());
-  std::vector<std::size_t> miss_idx;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (usable && stored->covers(xs[i])) {
-      out[i] = result_from_query(stored->query(xs[i]), *stored);
-    } else {
-      miss_idx.push_back(i);
-    }
-  }
-  if (miss_idx.empty()) return out;
-
-  switch (opts.miss_policy) {
-    case SurrogateMissPolicy::kError: {
-      std::ostringstream msg;
-      msg << "sweep_ber_surrogate: no calibration covers "
-          << sim::surrogate_axis_name(opts.axis) << " = " << xs[miss_idx[0]]
-          << " (" << miss_idx.size() << " of " << configs.size()
-          << " points missed; store " << view.store().dir().string()
-          << ", miss policy kError)";
-      throw std::runtime_error(msg.str());
-    }
-
-    case SurrogateMissPolicy::kCalibrate: {
-      const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());
-      sim::CalibrationCurve curve =
-          calibrate_ber_surrogate(configs[0], *lo_it, *hi_it, opts);
-      for (std::size_t i : miss_idx) {
-        out[i] = result_from_query(curve.query(xs[i]), curve);
-      }
-      return out;
-    }
-
-    case SurrogateMissPolicy::kFallbackBackfill: {
-      // Measure exactly the missed configs. Each adaptive point is a pure
-      // function of (config, rule) — see core/parallel.h — so these
-      // results are bit-identical to a direct sweep_ber_adaptive call.
-      std::vector<LinkConfig> missed;
-      missed.reserve(miss_idx.size());
-      for (std::size_t i : miss_idx) missed.push_back(configs[i]);
-      SweepOptions sweep_opts;
-      sweep_opts.threads = opts.threads;
-      std::vector<BerResult> mc =
-          sweep_ber_adaptive(missed, opts.rule, sweep_opts);
-
-      sim::CalibrationCurve curve =
-          usable ? *stored : fresh_curve(fp, opts);
-      for (std::size_t k = 0; k < miss_idx.size(); ++k) {
-        out[miss_idx[k]] = mc[k];
-        curve.merge_point(point_from_result(xs[miss_idx[k]], mc[k]));
-      }
-      view.put(curve);  // save failure tolerated: the store is a cache
-      return out;
-    }
-  }
-  return out;  // unreachable
-}
-
-BerResult run_ber_surrogate(const LinkConfig& cfg,
-                            const SurrogateOptions& opts) {
-  return sweep_ber_surrogate(std::span<const LinkConfig>(&cfg, 1), opts)[0];
 }
 
 // ---------------------------------------------------------------------------

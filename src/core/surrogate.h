@@ -1,18 +1,18 @@
-// Surrogate-backed BER measurement drivers: answer BER queries from a
-// persistent calibration curve (sim/ber_surrogate.h) when one covers the
-// query, and from the adaptive Monte-Carlo engine (core/parallel.h) when
-// none does — backfilling the store so the next process never pays again.
+// Surrogate-backed BER evaluation: answer BER queries from a persistent
+// calibration curve (sim/ber_surrogate.h) when one covers the query, and
+// from the adaptive Monte-Carlo engine (core/parallel.h) when none does —
+// backfilling the store so the next process never pays again.
 //
 // The split with sim/: sim owns the pure model (curves, interpolation,
 // store); this layer owns everything that needs a WlanLink — computing the
 // fingerprint key from a LinkConfig, driving sweep_ber_adaptive to fill
 // curves, and mapping curve queries back into BerResult.
 //
-// Determinism: a miss under kFallbackBackfill runs sweep_ber_adaptive on
-// exactly the missed configs. Each adaptive point is a pure function of
-// (config, rule) — independent of which other points share the call (see
-// the contract in core/parallel.h) — so the cold path is bit-identical to
-// calling sweep_ber_adaptive directly on the full sweep.
+// Determinism: a miss runs sweep_ber_adaptive on exactly the missed
+// configs. Each adaptive point is a pure function of (config, rule) —
+// independent of which other points share the call (see the contract in
+// core/parallel.h) — so the cold path is bit-identical to calling
+// sweep_ber_adaptive directly on the full sweep.
 #pragma once
 
 #include <filesystem>
@@ -25,40 +25,24 @@
 
 namespace wlansim::core {
 
-/// What to do when no stored curve covers a query point.
-enum class SurrogateMissPolicy {
-  /// Measure the missed points with sweep_ber_adaptive, return those MC
-  /// results (bit-identical to a direct adaptive sweep), and merge them
-  /// into the stored curve so the next query hits. The default.
-  kFallbackBackfill,
-  /// Calibrate a fresh auto-chosen grid spanning the query range (knots at
-  /// grid_step spacing, padded by grid_pad on both sides), store it, then
-  /// answer every point from the curve.
-  kCalibrate,
-  /// Throw std::runtime_error. For callers that must never pay MC cost
-  /// (e.g. a latency-bound service path).
-  kError,
-};
-
 struct SurrogateOptions {
   /// Calibration store directory; empty = default_calibration_dir().
   std::filesystem::path store_dir;
   /// Which LinkConfig field the query sweeps (and the curve key's axis).
   sim::SurrogateAxis axis = sim::SurrogateAxis::kSnrDb;
-  SurrogateMissPolicy miss_policy = SurrogateMissPolicy::kFallbackBackfill;
   /// Stopping rule for calibration / fallback MC runs.
   sim::StoppingRule rule;
-  /// Auto-grid spacing and span padding [dB] for kCalibrate and
-  /// calibrate_ber_surrogate. Knots land on multiples of grid_step so
-  /// repeated calibrations over overlapping ranges share knots.
+  /// Grid spacing and span padding [dB] for calibrate_ber_surrogate. Knots
+  /// land on multiples of grid_step so repeated calibrations over
+  /// overlapping ranges share knots.
   double grid_step = 1.0;
   double grid_pad = 1.0;
-  /// Worker threads for MC runs (run_ber_parallel semantics; 0 = shared).
+  /// Worker threads for MC runs (SweepOptions::threads semantics).
   std::size_t threads = 0;
   /// Optional persistent in-memory cache. Default null: each call builds a
   /// fresh store view, re-reading disk — so deleting a store file between
-  /// calls is observed as a miss (and, under kFallbackBackfill, reproduces
-  /// the MC result bit-identically). Point at a long-lived sim::BerSurrogate
+  /// calls is observed as a miss (and the refill reproduces the MC result
+  /// bit-identically). Point at a long-lived sim::BerSurrogate
   /// to skip the disk read in tight loops that own their store's lifetime.
   sim::BerSurrogate* cache = nullptr;
 };
@@ -78,21 +62,6 @@ sim::CalibrationCurve calibrate_ber_surrogate(const LinkConfig& base,
                                               double x_lo, double x_hi,
                                               const SurrogateOptions& opts);
 
-/// Surrogate-backed sweep: like sweep_ber_adaptive(configs, opts.rule) but
-/// each point covered by a stored calibration curve is answered by
-/// interpolation (microseconds) instead of packets. Covered points return a
-/// BerResult with from_surrogate set, model_ber/model_per filled from the
-/// curve, ber_ci_rel the conservative calibrated CI, and zero packet
-/// counters; missed points follow opts.miss_policy. All configs must share
-/// one surrogate fingerprint (differ only along opts.axis) — otherwise
-/// std::invalid_argument.
-std::vector<BerResult> sweep_ber_surrogate(std::span<const LinkConfig> configs,
-                                           const SurrogateOptions& opts = {});
-
-/// Single-point convenience wrapper over sweep_ber_surrogate.
-BerResult run_ber_surrogate(const LinkConfig& cfg,
-                            const SurrogateOptions& opts = {});
-
 // ---------------------------------------------------------------------------
 // Deduplicated, pooled link evaluation (the network-scale drop core)
 // ---------------------------------------------------------------------------
@@ -106,6 +75,12 @@ BerResult run_ber_surrogate(const LinkConfig& cfg,
 // scheduler's cross-point work stealing and TX-scene memoization keep
 // sharing work across the whole miss list), backfill the store, and scatter
 // results back to the full query list.
+//
+// At bin_width_db = 0 nothing is quantized, so sweep_ber_deduped is also the
+// plain surrogate-backed sweep: covered points come back interpolated from
+// the stored curve (from_surrogate set, model_ber/model_per filled, zero
+// packet counters, ber_ci_rel the conservative calibrated CI), and missed
+// points come back as adaptive-MC results that backfill the curve.
 
 /// Snap `x` onto the quantization grid: the nearest multiple of
 /// `bin_width` (std::round ties go away from zero, so the mapping is
@@ -127,9 +102,8 @@ using ColdPassFn = std::function<std::vector<BerResult>(
     const SweepOptions&)>;
 
 struct DedupOptions {
-  /// Store / axis / rule / threads / cache — the same knobs as the plain
-  /// surrogate drivers. miss_policy is ignored: cold keys always run in
-  /// the pooled adaptive pass and backfill (kFallbackBackfill semantics).
+  /// Store / axis / rule / threads / cache. Cold keys always run in the
+  /// pooled adaptive pass and backfill the store.
   SurrogateOptions surrogate;
   /// Axis quantization bin width [dB]: every query's axis value snaps to
   /// the nearest multiple before keying AND evaluation, so a key's result
@@ -169,12 +143,12 @@ struct DedupStats {
 };
 
 /// Evaluate every config, deduplicated by (surrogate_fingerprint,
-/// quantized-axis-bin). Unlike sweep_ber_surrogate the configs may span
-/// multiple fingerprints (e.g. stations with different quantized
-/// interferer levels); each fingerprint group keys its own calibration
-/// curve. out[i] is the result of the representative config of i's key:
-/// bit-identical to run_ber_adaptive on that config when the key was cold,
-/// and the stored curve's knot-exact answer when warm. Axis values must be
+/// quantized-axis-bin). The configs may span multiple fingerprints (e.g.
+/// stations with different quantized interferer levels); each fingerprint
+/// group keys its own calibration curve. out[i] is the result of the
+/// representative config of i's key: bit-identical to run_ber_adaptive on
+/// that config when the key was cold, and the stored curve's answer when
+/// warm (knot-exact for a backfilled bin). Axis values must be
 /// finite; throws std::invalid_argument on a non-fingerprintable config.
 std::vector<BerResult> sweep_ber_deduped(std::span<const LinkConfig> configs,
                                          const DedupOptions& opts,

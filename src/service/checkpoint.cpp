@@ -273,14 +273,14 @@ std::vector<core::BerResult> run_cold_pass_checkpointed(
 
   std::vector<core::BerResult> results;
   try {
-    results = core::sweep_ber_adaptive_resumable(configs, rule, opts, &resume);
+    results = core::sweep_ber_adaptive(configs, rule, opts, &resume);
   } catch (const std::invalid_argument&) {
     // A checkpoint that passed parsing but fails the engine's resume
     // validation (e.g. written under a colliding key with different
     // semantics) is treated like any other corrupt file: cold start.
     resume.progress.clear();
     resume.preempted = false;
-    results = core::sweep_ber_adaptive_resumable(configs, rule, opts, &resume);
+    results = core::sweep_ber_adaptive(configs, rule, opts, &resume);
   }
 
   if (resume.preempted) {

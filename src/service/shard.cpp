@@ -174,8 +174,7 @@ bool serve_shard(int fd, const ShardRequest& req,
       }
       return true;
     };
-    return core::sweep_ber_adaptive_resumable(req.links, req.rule, sopts,
-                                              &resume);
+    return core::sweep_ber_adaptive(req.links, req.rule, sopts, &resume);
   };
 
   std::vector<core::BerResult> results;
@@ -440,8 +439,7 @@ std::vector<core::BerResult> ShardCoordinator::run(
     };
     std::vector<core::BerResult> results;
     try {
-      results = core::sweep_ber_adaptive_resumable(links, rule, sweep_opts,
-                                                   &resume);
+      results = core::sweep_ber_adaptive(links, rule, sweep_opts, &resume);
     } catch (const std::invalid_argument&) {
       resume = core::AdaptiveResume{};
       resume.on_wave = [&](std::span<const core::SweepPointProgress> ps) {
@@ -449,8 +447,7 @@ std::vector<core::BerResult> ShardCoordinator::run(
         t.progress.assign(ps.begin(), ps.end());
         return false;
       };
-      results = core::sweep_ber_adaptive_resumable(links, rule, sweep_opts,
-                                                   &resume);
+      results = core::sweep_ber_adaptive(links, rule, sweep_opts, &resume);
     }
     if (resume.preempted) {
       save_merged();

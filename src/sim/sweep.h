@@ -70,6 +70,15 @@ struct StoppingRule {
                                    ///< CI test is disabled or unreachable)
 };
 
+/// A fixed budget of exactly `packets` per point: the rule with the CI
+/// test off.
+inline StoppingRule fixed_budget(std::size_t packets) {
+  StoppingRule rule;
+  rule.target_rel_ci = 0.0;
+  rule.max_packets = packets;
+  return rule;
+}
+
 /// Half-width of the Wilson score interval for `errors` successes in
 /// `trials` Bernoulli draws at normal quantile `z`. Well-behaved down to
 /// zero errors (unlike the Wald interval); +inf when trials == 0.

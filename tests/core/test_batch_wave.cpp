@@ -1,28 +1,19 @@
 // The lockstep packet-wave engine's bit-identity contract: every lane of
 // WlanLink::run_packet_wave equals the scalar per-packet path exactly, so
-// SweepOptions::batch_width is a pure throughput knob — results at width 8
-// EXPECT_EQ those at width 1 for any thread count, with and without
-// TX-scene memoization.
+// the sweep engine's width-8 waves EXPECT_EQ the width-1 scalar reference
+// (WlanLink::run_ber) for any thread count, with and without TX-scene
+// memoization.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "ber_expect.h"
 #include "core/experiments.h"
 #include "core/packet_batch.h"
 #include "core/parallel.h"
 
 namespace wlansim::core {
 namespace {
-
-void expect_identical(const BerResult& a, const BerResult& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.packet_errors, b.packet_errors);
-  EXPECT_EQ(a.bits, b.bits);
-  EXPECT_EQ(a.bit_errors, b.bit_errors);
-  EXPECT_EQ(a.evm_rms_avg, b.evm_rms_avg);  // exact, not approximate
-  EXPECT_EQ(a.ber_ci_rel, b.ber_ci_rel);
-}
 
 void expect_identical(const PacketResult& a, const PacketResult& b) {
   EXPECT_EQ(a.decoded, b.decoded);
@@ -42,6 +33,15 @@ std::vector<LinkConfig> waterfall(std::initializer_list<double> snrs) {
     points.push_back(c);
   }
   return points;
+}
+
+/// The width-1 reference: the serial scalar loop over the first
+/// `got.packets` packets. `converged` is the stopping rule's verdict, which
+/// run_ber has no notion of, so it is carried over.
+void expect_matches_scalar(const LinkConfig& cfg, const BerResult& got) {
+  BerResult ref = WlanLink(cfg).run_ber(got.packets);
+  ref.converged = got.converged;
+  expect_same_ber(got, ref);
 }
 
 }  // namespace
@@ -156,9 +156,9 @@ TEST(BatchWave, GraphPathRefusesToWave) {
 }
 
 TEST(BatchWave, AdaptiveSweepWidth8MatchesWidth1) {
-  // The headline contract: the adaptive sweep at batch_width 8 EXPECT_EQs
-  // the scalar-reference engine at batch_width 1, for thread counts
-  // {1, 2, 8}, memoization on and off.
+  // The headline contract: the adaptive sweep's width-8 waves EXPECT_EQ the
+  // scalar reference for thread counts {1, 2, 8}, memoization on (one
+  // two-point sweep) and off (one-point sweeps).
   const auto points = waterfall({12.0, 16.0});
   sim::StoppingRule rule;
   rule.target_rel_ci = 0.5;
@@ -166,45 +166,29 @@ TEST(BatchWave, AdaptiveSweepWidth8MatchesWidth1) {
   rule.min_packets = 8;
   rule.max_packets = 16;
 
-  for (const bool memo : {true, false}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("memo=" + std::to_string(memo) +
-                   " threads=" + std::to_string(threads));
-      SweepOptions wide;
-      wide.threads = threads;
-      wide.memoize_tx = memo;
-      wide.batch_width = 8;
-      SweepOptions narrow = wide;
-      narrow.batch_width = 1;
-      const auto a = sweep_ber_adaptive(points, rule, wide);
-      const auto b = sweep_ber_adaptive(points, rule, narrow);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) {
-        SCOPED_TRACE("point " + std::to_string(k));
-        expect_identical(a[k], b[k]);
-        EXPECT_EQ(a[k].converged, b[k].converged);
-      }
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto memo = sweep_ber_adaptive(points, rule, {.threads = threads});
+    ASSERT_EQ(memo.size(), points.size());
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      SCOPED_TRACE("point " + std::to_string(k));
+      expect_matches_scalar(points[k], memo[k]);
+      expect_matches_scalar(points[k],
+                            run_ber_adaptive(points[k], rule, threads));
     }
   }
 }
 
 TEST(BatchWave, FixedSweepWidth8MatchesWidth1) {
   const auto points = waterfall({14.0, 20.0});
-  for (const bool memo : {true, false}) {
-    SCOPED_TRACE("memo=" + std::to_string(memo));
-    SweepOptions wide;
-    wide.threads = 2;
-    wide.memoize_tx = memo;
-    wide.batch_width = 8;
-    SweepOptions narrow = wide;
-    narrow.batch_width = 1;
-    const auto a = sweep_ber_parallel(points, 19, wide);  // ragged tail chunk
-    const auto b = sweep_ber_parallel(points, 19, narrow);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      SCOPED_TRACE("point " + std::to_string(k));
-      expect_identical(a[k], b[k]);
-    }
+  const sim::StoppingRule fixed = sim::fixed_budget(19);  // ragged tail chunk
+  const auto memo = sweep_ber_adaptive(points, fixed, {.threads = 2});
+  ASSERT_EQ(memo.size(), points.size());
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    SCOPED_TRACE("point " + std::to_string(k));
+    const BerResult ref = WlanLink(points[k]).run_ber(19);
+    expect_same_ber(memo[k], ref);
+    expect_same_ber(run_ber_adaptive(points[k], fixed, 2), ref);
   }
 }
 

@@ -60,6 +60,46 @@ TEST(CliArgs, TracksUnusedKeys) {
   EXPECT_EQ(unused[0], "typo-key");
 }
 
+TEST(CliArgs, CountsRejectNegativeAndBelowMinimum) {
+  const CliArgs a = parse({"--packets", "-1", "--threads", "0", "--frames",
+                           "0", "--stations", "x"});
+  EXPECT_THROW(a.get_count("packets", 20, 1), std::invalid_argument);
+  EXPECT_EQ(a.get_count("threads", 4, 0), 0u);  // 0 = shared pool
+  EXPECT_THROW(a.get_count("frames", 20, 1), std::invalid_argument);
+  EXPECT_THROW(a.get_count("stations", 100, 0), std::invalid_argument);
+  EXPECT_EQ(a.get_count("absent", 7, 1), 7u);
+  try {
+    (void)a.get_count("packets", 20, 1);
+    FAIL() << "negative count accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--packets"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StoppingRuleFromArgs, RejectsNegativeCounts) {
+  // Wrapped to ~2^64 these used to mean "run forever".
+  for (const char* flag : {"max-packets", "min-packets", "min-errors"}) {
+    const CliArgs a = parse({(std::string("--") + flag).c_str(), "-8"});
+    EXPECT_THROW((void)stopping_rule_from_args(a), std::invalid_argument)
+        << flag;
+  }
+  EXPECT_THROW((void)stopping_rule_from_args(parse({"--max-packets", "0"})),
+               std::invalid_argument);
+}
+
+TEST(StoppingRuleFromArgs, RejectsNegativeOrNonFiniteTargetCi) {
+  for (const char* v : {"-0.1", "nan", "inf"}) {
+    const CliArgs a = parse({"--target-ci", v});
+    EXPECT_THROW((void)stopping_rule_from_args(a), std::invalid_argument)
+        << v;
+  }
+  // 0 stays the explicit fixed budget.
+  const auto rule = stopping_rule_from_args(parse({"--target-ci", "0"}));
+  ASSERT_TRUE(rule.has_value());
+  EXPECT_EQ(rule->target_rel_ci, 0.0);
+}
+
 TEST(StoppingRuleFromArgs, AbsentWithoutAnyAdaptiveFlag) {
   const CliArgs a = parse({"--rate", "24", "--snr", "18"});
   EXPECT_FALSE(stopping_rule_from_args(a).has_value());

@@ -1,33 +1,26 @@
-// run_ber_parallel must be bit-identical to the serial run_ber for every
-// thread count — the pool partitions work dynamically, but per-packet
+// The fixed-budget rule must be bit-identical to the serial run_ber for
+// every thread count — the pool partitions work dynamically, but per-packet
 // results land in per-packet slots and are reduced in packet order, so not
 // even the EVM average's floating-point accumulation can drift.
 #include <gtest/gtest.h>
 
+#include "ber_expect.h"
 #include "core/experiments.h"
 #include "core/parallel.h"
 
 namespace wlansim::core {
 namespace {
 
-void expect_identical(const BerResult& a, const BerResult& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.packets_lost, b.packets_lost);
-  EXPECT_EQ(a.packet_errors, b.packet_errors);
-  EXPECT_EQ(a.bits, b.bits);
-  EXPECT_EQ(a.bit_errors, b.bit_errors);
-  EXPECT_EQ(a.evm_rms_avg, b.evm_rms_avg);  // exact, not approximate
-}
-
 void expect_thread_invariant(const LinkConfig& cfg, std::size_t packets) {
   WlanLink serial(cfg);
   const BerResult ref = serial.run_ber(packets);
   // 0 = shared pool at hardware concurrency; 7 deliberately doesn't divide
-  // the packet count.
-  for (const std::size_t threads : {1u, 2u, 7u, 0u}) {
-    const BerResult par = run_ber_parallel(cfg, packets, threads);
+  // the packet count; 64 exceeds the chunk count, so the pool is capped.
+  for (const std::size_t threads : {1u, 2u, 7u, 0u, 64u}) {
+    const BerResult par =
+        run_ber_adaptive(cfg, sim::fixed_budget(packets), threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_identical(par, ref);
+    expect_same_ber(par, ref);
   }
 }
 
@@ -49,9 +42,10 @@ TEST(ParallelDeterminism, WithInterferer) {
 TEST(ParallelDeterminism, RepeatedCallsReuseCachedLinks) {
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 60;
-  const BerResult first = run_ber_parallel(cfg, 6, 2);
-  const BerResult second = run_ber_parallel(cfg, 6, 2);  // cache hit path
-  expect_identical(first, second);
+  const BerResult first = run_ber_adaptive(cfg, sim::fixed_budget(6), 2);
+  // Cache hit path.
+  const BerResult second = run_ber_adaptive(cfg, sim::fixed_budget(6), 2);
+  expect_same_ber(first, second);
 }
 
 TEST(ParallelDeterminism, SweepMatchesPointwiseRuns) {
@@ -63,12 +57,13 @@ TEST(ParallelDeterminism, SweepMatchesPointwiseRuns) {
     c.snr_db = snr;
     points.push_back(c);
   }
-  const std::vector<BerResult> sweep = sweep_ber_parallel(points, 5);
+  const std::vector<BerResult> sweep =
+      sweep_ber_adaptive(points, sim::fixed_budget(5));
   ASSERT_EQ(sweep.size(), points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
     SCOPED_TRACE("point " + std::to_string(k));
     WlanLink serial(points[k]);
-    expect_identical(sweep[k], serial.run_ber(5));
+    expect_same_ber(sweep[k], serial.run_ber(5));
   }
 }
 

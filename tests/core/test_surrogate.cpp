@@ -1,12 +1,14 @@
-// The surrogate-backed BER drivers (core/surrogate.h): fingerprint keying,
+// Surrogate-backed BER evaluation (core/surrogate.h): fingerprint keying,
 // the cold-path bit-identity contract (fallback MC == direct adaptive
-// sweep), store backfill/warm hits, miss policies, and the per-call store
-// view that re-observes deleted files.
+// sweep), store backfill/warm hits, and the per-call store view that
+// re-observes deleted files. The single-curve surrogate sweep is
+// sweep_ber_deduped at bin width 0.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <stdexcept>
 
+#include "ber_expect.h"
 #include "core/experiments.h"
 #include "core/fingerprint.h"
 #include "core/parallel.h"
@@ -46,22 +48,18 @@ sim::StoppingRule small_rule() {
   return rule;
 }
 
-SurrogateOptions opts_with(const fs::path& dir) {
-  SurrogateOptions opts;
-  opts.store_dir = dir;
-  opts.rule = small_rule();
+/// Un-quantized surrogate queries against `dir`.
+DedupOptions opts_with(const fs::path& dir) {
+  DedupOptions opts;
+  opts.surrogate.store_dir = dir;
+  opts.surrogate.rule = small_rule();
+  opts.bin_width_db = 0.0;
   return opts;
 }
 
-void expect_identical(const BerResult& a, const BerResult& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.packet_errors, b.packet_errors);
-  EXPECT_EQ(a.bits, b.bits);
-  EXPECT_EQ(a.bit_errors, b.bit_errors);
-  EXPECT_EQ(a.ber(), b.ber());
-  EXPECT_EQ(a.per(), b.per());
-  EXPECT_EQ(a.ber_ci_rel, b.ber_ci_rel);
-  EXPECT_EQ(a.evm_rms_avg, b.evm_rms_avg);
+BerResult query(const LinkConfig& cfg, const DedupOptions& opts,
+                DedupStats* stats = nullptr) {
+  return sweep_ber_deduped({&cfg, 1}, opts, stats)[0];
 }
 
 // ---------------------------------------------------------------------------
@@ -122,25 +120,25 @@ TEST(SurrogateFingerprint, UnsetAxisValueIsNotFingerprintable) {
 // ---------------------------------------------------------------------------
 
 TEST(SurrogateSweep, ColdFallbackBitIdenticalToAdaptiveSweep) {
-  const SurrogateOptions opts = opts_with(test_store("cold"));
+  const DedupOptions opts = opts_with(test_store("cold"));
   const auto points = waterfall({10.0, 11.0, 12.0});
 
-  const auto surr = sweep_ber_surrogate(points, opts);
-  const auto direct = sweep_ber_adaptive(points, opts.rule);
+  const auto surr = sweep_ber_deduped(points, opts);
+  const auto direct = sweep_ber_adaptive(points, opts.surrogate.rule);
   ASSERT_EQ(surr.size(), direct.size());
   for (std::size_t k = 0; k < surr.size(); ++k) {
     SCOPED_TRACE("point " + std::to_string(k));
     EXPECT_FALSE(surr[k].from_surrogate);  // store was cold: this IS the MC
-    expect_identical(surr[k], direct[k]);
+    expect_same_ber(surr[k], direct[k]);
   }
 }
 
 TEST(SurrogateSweep, BackfillWarmsTheStore) {
-  const SurrogateOptions opts = opts_with(test_store("warm"));
+  const DedupOptions opts = opts_with(test_store("warm"));
   const auto points = waterfall({10.0, 11.0, 12.0});
 
-  const auto cold = sweep_ber_surrogate(points, opts);
-  const auto warm = sweep_ber_surrogate(points, opts);
+  const auto cold = sweep_ber_deduped(points, opts);
+  const auto warm = sweep_ber_deduped(points, opts);
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t k = 0; k < warm.size(); ++k) {
     SCOPED_TRACE("point " + std::to_string(k));
@@ -156,13 +154,13 @@ TEST(SurrogateSweep, BackfillWarmsTheStore) {
 }
 
 TEST(SurrogateSweep, InterpolatedPointRidesTheCurve) {
-  const SurrogateOptions opts = opts_with(test_store("interp"));
-  (void)sweep_ber_surrogate(waterfall({10.0, 11.0}), opts);
+  const DedupOptions opts = opts_with(test_store("interp"));
+  (void)sweep_ber_deduped(waterfall({10.0, 11.0}), opts);
 
-  const BerResult mid = run_ber_surrogate(cheap_config(10.5), opts);
+  const BerResult mid = query(cheap_config(10.5), opts);
   EXPECT_TRUE(mid.from_surrogate);
-  const BerResult lo = run_ber_surrogate(cheap_config(10.0), opts);
-  const BerResult hi = run_ber_surrogate(cheap_config(11.0), opts);
+  const BerResult lo = query(cheap_config(10.0), opts);
+  const BerResult hi = query(cheap_config(11.0), opts);
   // Monotone interpolation: the midpoint BER sits between its knots.
   EXPECT_LE(mid.ber(), std::max(lo.ber(), hi.ber()));
   EXPECT_GE(mid.ber(), std::min(lo.ber(), hi.ber()));
@@ -172,95 +170,60 @@ TEST(SurrogateSweep, InterpolatedPointRidesTheCurve) {
 
 TEST(SurrogateSweep, DeletedStoreIsObservedAndRefilledIdentically) {
   const fs::path dir = test_store("deleted");
-  const SurrogateOptions opts = opts_with(dir);
+  const DedupOptions opts = opts_with(dir);
   const auto points = waterfall({10.0, 11.0});
 
-  const auto first = sweep_ber_surrogate(points, opts);
+  const auto first = sweep_ber_deduped(points, opts);
   // Nuke the store mid-run (e.g. a cache janitor). The default per-call
   // store view must observe the deletion as a miss...
   fs::remove_all(dir);
-  const auto refilled = sweep_ber_surrogate(points, opts);
+  const auto refilled = sweep_ber_deduped(points, opts);
   ASSERT_EQ(refilled.size(), first.size());
   for (std::size_t k = 0; k < refilled.size(); ++k) {
     SCOPED_TRACE("point " + std::to_string(k));
     EXPECT_FALSE(refilled[k].from_surrogate);
     // ...and the fallback MC is a pure function of (config, rule), so the
     // re-measurement is bit-identical to the original cold run.
-    expect_identical(refilled[k], first[k]);
+    expect_same_ber(refilled[k], first[k]);
   }
   // And the backfill re-warmed the store.
-  EXPECT_TRUE(run_ber_surrogate(points[0], opts).from_surrogate);
+  EXPECT_TRUE(query(points[0], opts).from_surrogate);
 }
 
 TEST(SurrogateSweep, PersistentCacheOptsOutOfPerCallView) {
   const fs::path dir = test_store("cached");
-  SurrogateOptions opts = opts_with(dir);
+  DedupOptions opts = opts_with(dir);
   sim::BerSurrogate cache{sim::CalibrationStore(dir)};
-  opts.cache = &cache;
+  opts.surrogate.cache = &cache;
 
   const auto points = waterfall({10.0, 11.0});
-  (void)sweep_ber_surrogate(points, opts);
+  (void)sweep_ber_deduped(points, opts);
   fs::remove_all(dir);
   // The long-lived cache still answers from memory — the documented
   // trade-off of SurrogateOptions::cache.
-  const auto res = sweep_ber_surrogate(points, opts);
+  const auto res = sweep_ber_deduped(points, opts);
   for (const BerResult& r : res) EXPECT_TRUE(r.from_surrogate);
-}
-
-TEST(SurrogateSweep, ErrorPolicyThrowsOnMiss) {
-  SurrogateOptions opts = opts_with(test_store("error"));
-  opts.miss_policy = SurrogateMissPolicy::kError;
-  EXPECT_THROW((void)run_ber_surrogate(cheap_config(10.0), opts),
-               std::runtime_error);
-}
-
-TEST(SurrogateSweep, CalibratePolicyAnswersEverythingFromTheCurve) {
-  SurrogateOptions opts = opts_with(test_store("autocal"));
-  opts.miss_policy = SurrogateMissPolicy::kCalibrate;
-  opts.grid_step = 1.0;
-  opts.grid_pad = 0.0;
-
-  // Off-grid query points: the auto-grid calibrates knots around them and
-  // every answer comes back interpolated.
-  const auto res = sweep_ber_surrogate(waterfall({10.3, 11.6}), opts);
-  ASSERT_EQ(res.size(), 2u);
-  for (const BerResult& r : res) {
-    EXPECT_TRUE(r.from_surrogate);
-    EXPECT_GT(r.ber(), 0.0);
-  }
 }
 
 TEST(SurrogateSweep, RuleMismatchIsAMiss) {
   const fs::path dir = test_store("rulemiss");
-  SurrogateOptions opts = opts_with(dir);
-  (void)sweep_ber_surrogate(waterfall({10.0}), opts);
-  ASSERT_TRUE(run_ber_surrogate(cheap_config(10.0), opts).from_surrogate);
+  DedupOptions opts = opts_with(dir);
+  (void)sweep_ber_deduped(waterfall({10.0}), opts);
+  ASSERT_TRUE(query(cheap_config(10.0), opts).from_surrogate);
 
   // A different stopping rule makes different CI claims: the stored curve
   // must not answer for it.
-  SurrogateOptions tighter = opts;
-  tighter.rule.target_rel_ci = 0.10;
-  tighter.rule.max_packets = 48;
-  const BerResult r = run_ber_surrogate(cheap_config(10.0), tighter);
+  DedupOptions tighter = opts;
+  tighter.surrogate.rule.target_rel_ci = 0.10;
+  tighter.surrogate.rule.max_packets = 48;
+  const BerResult r = query(cheap_config(10.0), tighter);
   EXPECT_FALSE(r.from_surrogate);
-  expect_identical(r, run_ber_adaptive(cheap_config(10.0), tighter.rule));
-}
-
-TEST(SurrogateSweep, MixedFingerprintsRejected) {
-  const SurrogateOptions opts = opts_with(test_store("mixed"));
-  std::vector<LinkConfig> points = waterfall({10.0, 11.0});
-  points[1].psdu_bytes = 61;  // differs off-axis: not one curve
-  EXPECT_THROW((void)sweep_ber_surrogate(points, opts),
-               std::invalid_argument);
-
-  LinkConfig unset = cheap_config(10.0);
-  unset.snr_db.reset();
-  EXPECT_THROW((void)run_ber_surrogate(unset, opts), std::invalid_argument);
+  expect_same_ber(r, run_ber_adaptive(cheap_config(10.0),
+                                      tighter.surrogate.rule));
 }
 
 TEST(SurrogateSweep, EmptySweepIsEmpty) {
-  EXPECT_TRUE(
-      sweep_ber_surrogate({}, opts_with(test_store("empty"))).empty());
+  EXPECT_TRUE(sweep_ber_deduped({}, opts_with(test_store("empty"))).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +231,8 @@ TEST(SurrogateSweep, EmptySweepIsEmpty) {
 // ---------------------------------------------------------------------------
 
 TEST(Calibrate, GridKnotsLandOnStepMultiplesAndAnswerExactly) {
-  SurrogateOptions opts = opts_with(test_store("grid"));
+  DedupOptions query_opts = opts_with(test_store("grid"));
+  SurrogateOptions& opts = query_opts.surrogate;
   opts.grid_step = 1.0;
   opts.grid_pad = 0.0;
 
@@ -281,11 +245,12 @@ TEST(Calibrate, GridKnotsLandOnStepMultiplesAndAnswerExactly) {
   EXPECT_TRUE(curve.covers(11.5));
 
   // Every knot is an adaptive-MC measurement: querying it through the
-  // store must reproduce the direct measurement exactly.
-  SurrogateOptions query = opts;
-  query.miss_policy = SurrogateMissPolicy::kError;
-  const BerResult s = run_ber_surrogate(cheap_config(11.0), query);
+  // store (no Monte-Carlo packets) must reproduce the direct measurement
+  // exactly.
+  DedupStats stats;
+  const BerResult s = query(cheap_config(11.0), query_opts, &stats);
   const BerResult mc = run_ber_adaptive(cheap_config(11.0), opts.rule);
+  EXPECT_EQ(stats.cold, 0u);
   EXPECT_TRUE(s.from_surrogate);
   EXPECT_EQ(s.ber(), mc.ber());
   EXPECT_EQ(s.per(), mc.per());
@@ -293,7 +258,7 @@ TEST(Calibrate, GridKnotsLandOnStepMultiplesAndAnswerExactly) {
 }
 
 TEST(Calibrate, ExtendsAnExistingCurveInsteadOfRemeasuring) {
-  SurrogateOptions opts = opts_with(test_store("extend"));
+  SurrogateOptions opts = opts_with(test_store("extend")).surrogate;
   opts.grid_step = 1.0;
   opts.grid_pad = 0.0;
   const LinkConfig base = cheap_config(10.0);
@@ -309,7 +274,7 @@ TEST(Calibrate, ExtendsAnExistingCurveInsteadOfRemeasuring) {
 }
 
 TEST(Calibrate, RejectsBadInput) {
-  SurrogateOptions opts = opts_with(test_store("badcal"));
+  SurrogateOptions opts = opts_with(test_store("badcal")).surrogate;
   const LinkConfig base = cheap_config(10.0);
   opts.grid_step = 0.0;
   EXPECT_THROW((void)calibrate_ber_surrogate(base, 10.0, 12.0, opts),

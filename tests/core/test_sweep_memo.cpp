@@ -1,11 +1,13 @@
-// TX-scene memoization must be invisible in the results: a sweep with
-// memoize_tx on replays each packet's pre-noise scene across SNR points,
-// and every counter — including the EVM average's floating-point value —
-// must match the unmemoized per-point runs bit for bit.
+// TX-scene memoization must be invisible in the results: a sweep whose
+// points share a TX fingerprint replays each packet's pre-noise scene across
+// SNR points, and every field — including the EVM average's floating-point
+// value — must match unmemoized one-point sweeps and the serial run_ber bit
+// for bit.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "ber_expect.h"
 #include "core/experiments.h"
 #include "core/parallel.h"
 
@@ -24,12 +26,8 @@ void expect_identical(const std::vector<BerResult>& a,
                       const std::vector<BerResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].packets, b[k].packets) << "point " << k;
-    EXPECT_EQ(a[k].packets_lost, b[k].packets_lost) << "point " << k;
-    EXPECT_EQ(a[k].packet_errors, b[k].packet_errors) << "point " << k;
-    EXPECT_EQ(a[k].bits, b[k].bits) << "point " << k;
-    EXPECT_EQ(a[k].bit_errors, b[k].bit_errors) << "point " << k;
-    EXPECT_EQ(a[k].evm_rms_avg, b[k].evm_rms_avg) << "point " << k;
+    SCOPED_TRACE("point " + std::to_string(k));
+    expect_same_ber(a[k], b[k]);
   }
 }
 
@@ -38,15 +36,13 @@ TEST(SweepMemo, MatchesUnmemoizedSweepExactly) {
   base.psdu_bytes = 40;
   // Span the waterfall so some points decode cleanly and some lose packets.
   const auto configs = snr_sweep(base, 10.0, 2.0, 8);
+  const sim::StoppingRule fixed = sim::fixed_budget(10);
 
-  SweepOptions memo_on;
-  memo_on.memoize_tx = true;
-  SweepOptions memo_off;
-  memo_off.memoize_tx = false;
-
-  const auto with = sweep_ber_parallel(configs, 10, memo_on);
-  const auto without = sweep_ber_parallel(configs, 10, memo_off);
-  expect_identical(with, without);
+  // A one-point sweep has no other point to share a scene with.
+  std::vector<BerResult> unmemoized;
+  for (const LinkConfig& cfg : configs)
+    unmemoized.push_back(run_ber_adaptive(cfg, fixed));
+  expect_identical(sweep_ber_adaptive(configs, fixed), unmemoized);
 }
 
 TEST(SweepMemo, MatchesPerPointRunsWithInterferer) {
@@ -59,10 +55,10 @@ TEST(SweepMemo, MatchesPerPointRunsWithInterferer) {
   base.interferer = jam;
   const auto configs = snr_sweep(base, 14.0, 3.0, 4);
 
-  const auto memoized = sweep_ber_parallel(configs, 6, SweepOptions{});
+  const auto memoized = sweep_ber_adaptive(configs, sim::fixed_budget(6));
   std::vector<BerResult> direct;
   for (const LinkConfig& cfg : configs)
-    direct.push_back(run_ber_parallel(cfg, 6));
+    direct.push_back(WlanLink(cfg).run_ber(6));
   expect_identical(memoized, direct);
 }
 
@@ -70,13 +66,14 @@ TEST(SweepMemo, ThreadCountInvariant) {
   LinkConfig base = default_link_config();
   base.psdu_bytes = 40;
   const auto configs = snr_sweep(base, 12.0, 3.0, 5);
+  const sim::StoppingRule fixed = sim::fixed_budget(9);
 
-  SweepOptions one;
-  one.threads = 1;
-  SweepOptions three;
-  three.threads = 3;
-  expect_identical(sweep_ber_parallel(configs, 9, one),
-                   sweep_ber_parallel(configs, 9, three));
+  const auto one = sweep_ber_adaptive(configs, fixed, {.threads = 1});
+  for (const std::size_t threads : {3u, 64u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(one,
+                     sweep_ber_adaptive(configs, fixed, {.threads = threads}));
+  }
 }
 
 TEST(SweepMemo, ScenePacketReplayMatchesFullRun) {
@@ -111,13 +108,14 @@ TEST(SweepMemo, ScenePacketReplayMatchesFullRun) {
 }
 
 TEST(SweepMemo, BackCompatThreadsOverload) {
-  LinkConfig base = default_link_config();
-  base.psdu_bytes = 40;
-  const auto configs = snr_sweep(base, 16.0, 4.0, 3);
-  const auto a = sweep_ber_parallel(configs, 4, std::size_t{2});
-  SweepOptions opts;
-  opts.threads = 2;
-  expect_identical(a, sweep_ber_parallel(configs, 4, opts));
+  // run_ber_adaptive's bare thread count is the one-point sweep with
+  // SweepOptions::threads set.
+  LinkConfig cfg = default_link_config();
+  cfg.psdu_bytes = 40;
+  cfg.snr_db = 16.0;
+  const sim::StoppingRule fixed = sim::fixed_budget(4);
+  expect_same_ber(run_ber_adaptive(cfg, fixed, 2),
+                  sweep_ber_adaptive({&cfg, 1}, fixed, {.threads = 2})[0]);
 }
 
 }  // namespace

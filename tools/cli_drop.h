@@ -18,8 +18,8 @@ namespace wlansim::tools {
 
 inline scenario::DropConfig drop_config_from_args(const core::CliArgs& args) {
   scenario::DropConfig cfg;
-  cfg.num_stations = static_cast<std::size_t>(args.get_long("stations", 100));
-  cfg.num_steps = static_cast<std::size_t>(args.get_long("steps", 1));
+  cfg.num_stations = args.get_count("stations", 100, 0);
+  cfg.num_steps = args.get_count("steps", 1, 0);
   cfg.area_half_m = args.get_double("area-half", cfg.area_half_m);
   cfg.tx_power_dbm = args.get_double("tx-power-dbm", cfg.tx_power_dbm);
   cfg.noise_figure_db = args.get_double("noise-figure", cfg.noise_figure_db);
@@ -37,10 +37,8 @@ inline scenario::DropConfig drop_config_from_args(const core::CliArgs& args) {
 
   // Interferer BSSs: counter-seeded positions like stations, with entity
   // indices far above any station index so the streams never collide.
-  const auto cochannel = static_cast<std::size_t>(
-      args.get_long("cochannel-bss", 0));
-  const auto adjacent = static_cast<std::size_t>(
-      args.get_long("adjacent-bss", 0));
+  const std::size_t cochannel = args.get_count("cochannel-bss", 0, 0);
+  const std::size_t adjacent = args.get_count("adjacent-bss", 0, 0);
   const double bss_power = args.get_double("bss-power-dbm", 16.0);
   const double adj_offset = args.get_double("adjacent-offset-hz", 20e6);
   cfg.link = link_from_args(args);
@@ -54,7 +52,7 @@ inline scenario::DropConfig drop_config_from_args(const core::CliArgs& args) {
     cfg.interferers.push_back(bss);
   }
 
-  cfg.threads = static_cast<std::size_t>(args.get_long("threads", 0));
+  cfg.threads = args.get_count("threads", 0, 0);
   const auto rule = core::stopping_rule_from_args(args);
   if (rule.has_value()) cfg.rule = *rule;
   cfg.use_store = !args.has("no-store");

@@ -45,10 +45,19 @@ void print_ber_result(const core::LinkConfig& cfg, const core::BerResult& r) {
   std::printf("BER 95%% CI  : +/- %.1f %% relative\n", 100.0 * r.ber_ci_rel);
 }
 
+/// A surrogate-backed query at the exact axis values (no quantization):
+/// the same evaluation the daemon serves for `sweep`.
+core::DedupOptions surrogate_query(const core::SurrogateOptions& sopts) {
+  core::DedupOptions d;
+  d.surrogate = sopts;
+  d.bin_width_db = 0.0;
+  return d;
+}
+
 int cmd_ber(const core::CliArgs& args) {
   const core::LinkConfig cfg = link_from_args(args);
-  const auto packets = static_cast<std::size_t>(args.get_long("packets", 20));
-  const auto threads = static_cast<std::size_t>(args.get_long("threads", 0));
+  const std::size_t packets = args.get_count("packets", 20, 1);
+  const std::size_t threads = args.get_count("threads", 0, 0);
   const auto rule = core::stopping_rule_from_args(args);
   const bool surrogate = args.has("surrogate");
   const core::SurrogateOptions sopts = core::surrogate_options_from_args(
@@ -56,7 +65,8 @@ int cmd_ber(const core::CliArgs& args) {
   fail_on_unused(args);
 
   if (surrogate) {
-    const core::BerResult r = core::run_ber_surrogate(cfg, sopts);
+    const core::BerResult r =
+        core::sweep_ber_deduped({&cfg, 1}, surrogate_query(sopts))[0];
     print_ber_result(cfg, r);
     if (r.from_surrogate) {
       std::printf("source      : calibration store (surrogate, ~0 packets)\n");
@@ -77,7 +87,8 @@ int cmd_ber(const core::CliArgs& args) {
                 rule->max_packets);
     std::printf("wall        : %.2f s\n", r.wall_seconds);
   } else {
-    print_ber_result(cfg, core::run_ber_parallel(cfg, packets, threads));
+    print_ber_result(cfg, core::run_ber_adaptive(
+                              cfg, sim::fixed_budget(packets), threads));
   }
   return 0;
 }
@@ -87,8 +98,8 @@ int cmd_sweep(const core::CliArgs& args) {
   const double from = args.get_double("from", 5.0);
   const double to = args.get_double("to", 25.0);
   const double step = args.get_double("step", 2.0);
-  const auto packets = static_cast<std::size_t>(args.get_long("packets", 10));
-  const auto threads = static_cast<std::size_t>(args.get_long("threads", 0));
+  const std::size_t packets = args.get_count("packets", 10, 1);
+  const std::size_t threads = args.get_count("threads", 0, 0);
   const std::string csv = args.get_string("csv", "");
   const auto rule = core::stopping_rule_from_args(args);
   if (step <= 0.0 || to < from)
@@ -139,13 +150,10 @@ int cmd_sweep(const core::CliArgs& args) {
 
   std::vector<core::BerResult> results;
   if (surrogate) {
-    results = core::sweep_ber_surrogate(points, sopts);
-  } else if (rule.has_value()) {
-    core::SweepOptions opts;
-    opts.threads = threads;
-    results = core::sweep_ber_adaptive(points, *rule, opts);
+    results = core::sweep_ber_deduped(points, surrogate_query(sopts));
   } else {
-    results = core::sweep_ber_parallel(points, packets, threads);
+    results = core::sweep_ber_adaptive(
+        points, rule.value_or(sim::fixed_budget(packets)), {.threads = threads});
   }
 
   sim::SweepResult res;
@@ -178,9 +186,9 @@ int cmd_sweep(const core::CliArgs& args) {
 int cmd_goodput(const core::CliArgs& args) {
   const core::LinkConfig cfg = link_from_args(args);
   core::ArqConfig arq;
-  arq.payload_bytes = static_cast<std::size_t>(args.get_long("payload", 500));
-  arq.num_frames = static_cast<std::size_t>(args.get_long("frames", 20));
-  arq.max_retries = static_cast<std::size_t>(args.get_long("retries", 3));
+  arq.payload_bytes = args.get_count("payload", 500, 0);
+  arq.num_frames = args.get_count("frames", 20, 0);
+  arq.max_retries = args.get_count("retries", 3, 0);
   fail_on_unused(args);
 
   const core::ArqResult r = core::run_arq(cfg, arq);

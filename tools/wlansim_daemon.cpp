@@ -43,15 +43,13 @@ int run(int argc, char** argv) {
   opts.socket_path = args.get_string("socket", "/tmp/wlansim.sock");
   opts.scheduler.store_dir = args.get_string("store", "");
   opts.scheduler.checkpoint_dir = args.get_string("checkpoint-dir", "");
-  opts.scheduler.threads =
-      static_cast<std::size_t>(args.get_long("threads", 0));
+  opts.scheduler.threads = args.get_count("threads", 0, 0);
   opts.scheduler.checkpoint_every_waves =
-      static_cast<std::size_t>(args.get_long("checkpoint-every", 1));
+      args.get_count("checkpoint-every", 1, 0);
   opts.scheduler.start_paused = args.has("paused");
   const bool worker_mode = args.has("worker");
   if (!worker_mode) {
-    opts.scheduler.workers =
-        static_cast<std::size_t>(args.get_long("workers", 0));
+    opts.scheduler.workers = args.get_count("workers", 0, 0);
     const std::string attach = args.get_string("attach", "");
     std::size_t start = 0;
     while (start < attach.size()) {
