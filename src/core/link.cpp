@@ -67,50 +67,30 @@ bool WlanLink::use_direct_path() const {
 PacketResult WlanLink::run_packet_with_payload(
     std::span<const std::uint8_t> psdu, std::uint64_t packet_index,
     phy::Bytes* rx_psdu) {
-  return run_packet_impl(psdu, packet_index, rx_psdu, nullptr);
+  PacketResult out;
+  if (run_wave(packet_index, 1, nullptr, nullptr, &out, psdu, rx_psdu))
+    return out;
+  TxScene scene;
+  dsp::Rng rng = build_tx(packet_index, psdu, scene);
+  run_scene_graph(std::move(ws_.padded), rng);
+  return receiver_epilogue(scene, rx_psdu);
 }
 
-PacketResult WlanLink::run_packet_memo(std::uint64_t packet_index,
-                                       TxScene& scene) {
-  return run_packet_impl({}, packet_index, nullptr, &scene);
-}
-
-PacketResult WlanLink::run_packet_impl(std::span<const std::uint8_t> psdu,
-                                       std::uint64_t packet_index,
-                                       phy::Bytes* rx_psdu, TxScene* scene) {
-  // Scene replay: the TX waveform, impairments, and interferer for this
-  // packet index were already built by an earlier run whose config differs
-  // only in noise level. Restore the packet RNG at the noise fork and run
-  // just the noise + front-end + receiver half.
-  if (scene != nullptr && scene->valid_ &&
-      scene->packet_index_ == packet_index && psdu.empty() &&
-      use_direct_path()) {
-    ws_.scene_a.assign(scene->scene_.begin(), scene->scene_.end());
-    dsp::Rng rng = scene->rng_post_tx_;
-    finish_scene_direct(scene->base_units_, rng, &scene->noise_units_);
-    return receiver_epilogue(scene->payload_, nullptr, nullptr, scene,
-                             rx_psdu);
-  }
-
-  // The scene can only be captured on the direct path with a generated
-  // payload; anything else runs unmemoized.
-  const bool memoize =
-      scene != nullptr && psdu.empty() && use_direct_path();
-  if (scene != nullptr) scene->reset();
-
+dsp::Rng WlanLink::build_tx(std::uint64_t packet_index,
+                            std::span<const std::uint8_t> psdu,
+                            TxScene& scene) {
+  scene.reset();
   dsp::Rng rng(packet_seed(cfg_.seed, packet_index));
 
-  // --- Transmit side (20 Msps) --------------------------------------------
   phy::Transmitter::Config txc;
   txc.scrambler_seed =
       static_cast<std::uint8_t>(1 + rng.uniform_int(0, 126));
   txc.output_power_dbm = cfg_.rx_power_dbm;
-  phy::Transmitter tx(txc);
-  const phy::Bytes payload =
-      psdu.empty() ? phy::random_bytes(cfg_.psdu_bytes, rng)
-                   : phy::Bytes(psdu.begin(), psdu.end());
-  const phy::Frame frame{cfg_.rate, payload};
-  dsp::CVec wave = tx.modulate(frame);
+  scene.packet_index_ = packet_index;
+  scene.scrambler_seed_ = txc.scrambler_seed;
+  scene.payload_ = psdu.empty() ? phy::random_bytes(cfg_.psdu_bytes, rng)
+                                : phy::Bytes(psdu.begin(), psdu.end());
+  dsp::CVec wave = phy::Transmitter(txc).modulate({cfg_.rate, scene.payload_});
 
   // Optional multipath (block-static per packet, applied at 20 Msps).
   if (cfg_.fading.has_value()) {
@@ -126,35 +106,13 @@ PacketResult WlanLink::run_packet_impl(std::span<const std::uint8_t> psdu,
   padded.insert(padded.end(), cfg_.lead_samples, dsp::Cplx{0.0, 0.0});
   padded.insert(padded.end(), wave.begin(), wave.end());
   padded.insert(padded.end(), cfg_.tail_samples, dsp::Cplx{0.0, 0.0});
-
-  // --- Channel + RF front-end ----------------------------------------------
-  if (memoize) {
-    const std::size_t base_units = build_scene_prenoise(padded, rng);
-    scene->valid_ = true;
-    scene->packet_index_ = packet_index;
-    scene->scrambler_seed_ = txc.scrambler_seed;
-    scene->payload_ = payload;
-    scene->scene_.assign(ws_.scene_a.begin(), ws_.scene_a.end());
-    scene->base_units_ = base_units;
-    scene->rng_post_tx_ = rng;
-    scene->noise_units_.clear();
-    finish_scene_direct(base_units, rng, &scene->noise_units_);
-  } else if (use_direct_path()) {
-    run_scene_direct(padded, rng);
-  } else {
-    run_scene_graph(std::move(padded), rng);
-  }
-
-  return receiver_epilogue(payload, &tx, &frame, memoize ? scene : nullptr,
-                           rx_psdu);
+  return rng;
 }
 
-PacketResult WlanLink::receiver_epilogue(const phy::Bytes& payload,
-                                         const phy::Transmitter* tx,
-                                         const phy::Frame* frame,
-                                         TxScene* scene, phy::Bytes* rx_psdu) {
+PacketResult WlanLink::receiver_epilogue(TxScene& scene, phy::Bytes* rx_psdu) {
   // --- DSP receiver ---------------------------------------------------------
   const phy::RxResult res = rx_.receive(last_rx_);
+  const phy::Bytes& payload = scene.payload_;
 
   PacketResult out;
   out.bits = 8 * payload.size();
@@ -173,49 +131,31 @@ PacketResult WlanLink::receiver_epilogue(const phy::Bytes& payload,
 
   // EVM against the transmitted constellation (the equalizer's channel
   // estimate removes the chain gain, so points are directly comparable).
-  // The reference is a pure function of (scrambler seed, frame), so a
-  // memoized scene computes it once and reuses it at every noise level.
-  const std::vector<dsp::CVec>* ref = nullptr;
-  std::vector<dsp::CVec> local_ref;
-  if (scene != nullptr && scene->valid_) {
-    if (!scene->ref_points_valid_) {
-      if (tx != nullptr) {
-        scene->ref_points_ = tx->data_symbol_points(*frame);
-      } else {
-        phy::Transmitter::Config txc;
-        txc.scrambler_seed = scene->scrambler_seed_;
-        txc.output_power_dbm = cfg_.rx_power_dbm;
-        const phy::Transmitter stx(txc);
-        const phy::Frame sframe{cfg_.rate, scene->payload_};
-        scene->ref_points_ = stx.data_symbol_points(sframe);
-      }
-      scene->ref_points_valid_ = true;
-    }
-    ref = &scene->ref_points_;
-  } else {
-    local_ref = tx->data_symbol_points(*frame);
-    ref = &local_ref;
+  // The reference is a pure function of (scrambler seed, frame).
+  if (!scene.ref_points_valid_) {
+    phy::Transmitter::Config txc;
+    txc.scrambler_seed = scene.scrambler_seed_;
+    txc.output_power_dbm = cfg_.rx_power_dbm;
+    scene.ref_points_ =
+        phy::Transmitter(txc).data_symbol_points({cfg_.rate, payload});
+    scene.ref_points_valid_ = true;
   }
+  const std::vector<dsp::CVec>& ref = scene.ref_points_;
   phy::EvmCounter evm;
-  const std::size_t nsym = std::min(ref->size(), res.data_points.size());
-  for (std::size_t s = 0; s < nsym; ++s)
-    evm.add(res.data_points[s], (*ref)[s]);
+  const std::size_t nsym = std::min(ref.size(), res.data_points.size());
+  for (std::size_t s = 0; s < nsym; ++s) evm.add(res.data_points[s], ref[s]);
   out.evm_rms = evm.evm_rms();
   return out;
 }
 
-// Allocation-free steady-state replica of the dataflow graph below. Every
-// node in that graph is a per-sample streaming operator, so evaluating the
-// chain whole-buffer in the same sample order — with the same filter taps,
-// the same rng.fork() sequence, and the graph's run length — produces
-// bit-identical output while skipping the per-packet graph assembly, FIFO
-// churn, and block construction (notably the flicker source's 32k-sample
-// spectral calibration).
-void WlanLink::run_scene_direct(const dsp::CVec& padded, dsp::Rng& rng) {
-  const std::size_t base_units = build_scene_prenoise(padded, rng);
-  finish_scene_direct(base_units, rng, nullptr);
-}
-
+// The direct path's TX half: an allocation-free steady-state replica of the
+// dataflow graph below. Every node in that graph is a per-sample streaming
+// operator, so evaluating the chain whole-buffer in the same sample order —
+// with the same filter taps, the same rng.fork() sequence, and the graph's
+// run length — produces bit-identical output while skipping the per-packet
+// graph assembly, FIFO churn, and block construction (notably the flicker
+// source's 32k-sample spectral calibration). The noise, RF and decimation
+// half lives in link_wave.cpp.
 std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
                                            dsp::Rng& rng) {
   const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
@@ -323,100 +263,37 @@ std::size_t WlanLink::build_scene_prenoise(const dsp::CVec& padded,
   return base_units;
 }
 
-void WlanLink::finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
-                                   dsp::RVec* noise_units) {
-  const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
-  const double fs_over = cfg_.rf.sample_rate_hz;
-  const std::size_t os = cfg_.oversample;
-
-  dsp::CVec& a = ws_.scene_a;
-
+double WlanLink::noise_power() const {
+  // Channel noise: the antenna thermal floor plus (optionally) excess AWGN
+  // sized for the requested SNR. SNR is defined against the in-band
+  // (20 MHz) noise; the full-rate white noise carries `oversample` times
+  // that power.
   double n_total =
       cfg_.antenna_noise_density_dbm_hz > -250.0
-          ? dsp::dbm_to_watts(cfg_.antenna_noise_density_dbm_hz) * fs_over
+          ? dsp::dbm_to_watts(cfg_.antenna_noise_density_dbm_hz) *
+                cfg_.rf.sample_rate_hz
           : 0.0;
   if (cfg_.snr_db.has_value()) {
-    n_total += p_sig / dsp::from_db(*cfg_.snr_db) *
+    n_total += dsp::dbm_to_watts(cfg_.rx_power_dbm) /
+               dsp::from_db(*cfg_.snr_db) *
                static_cast<double>(cfg_.oversample);
   }
-  if (n_total > 0.0) {
-    dsp::Rng nrng = rng.fork();
-    if (noise_units == nullptr) {
-      // Bulk form of `a[i] += cgaussian(n_total)`: cgaussian draws two
-      // unit normals and scales each by s = sqrt(v/2), so filling the
-      // normals first and applying the scaled pairs performs the exact
-      // same arithmetic in the exact same stream order.
-      ws_.noise_scratch.resize(2 * a.size());
-      nrng.fill_gaussian(ws_.noise_scratch.data(), ws_.noise_scratch.size());
-      const double s = std::sqrt(n_total / 2.0);
-      dsp::kernels::add_scaled_pairs(a.data(), a.size(), s,
-                                     ws_.noise_scratch.data());
-    } else {
-      // Memoized noise: cache the unit normals on the first pass and
-      // replay them at every other noise level. cgaussian(v) evaluates
-      // s*u0, s*u1 with s = sqrt(v/2), so scaling the cached normals here
-      // performs the exact same arithmetic as the direct loop above.
-      if (noise_units->empty()) {
-        noise_units->resize(2 * a.size());
-        nrng.fill_gaussian(noise_units->data(), noise_units->size());
-      }
-      const double s = std::sqrt(n_total / 2.0);
-      dsp::kernels::add_scaled_pairs(a.data(), a.size(), s,
-                                     noise_units->data());
-    }
-  }
+  return n_total;
+}
 
-  const dsp::CVec* rx_over = &a;
-  if (cfg_.rf_engine == RfEngine::kSystemLevel) {
-    if (!ws_.frontend) {
-      ws_.frontend =
-          std::make_unique<rf::DoubleConversionReceiver>(cfg_.rf, rng.fork());
-    } else {
-      ws_.frontend->reset();
-      ws_.frontend->reseed(rng.fork());
-    }
-    // Runs the fused ChainExecutor: the whole oversampled scene streams
-    // through the front-end cascade in L1-sized tiles (cfg_.rf.tile_size,
-    // 0 = auto), bit-identical to block-at-a-time execution and to the
-    // 512-chunk graph path by the tile-continuity contract.
-    ws_.frontend->process_into(a, ws_.scene_b);
-    rx_over = &ws_.scene_b;
-  } else if (cfg_.rf_engine == RfEngine::kCustom) {
-    // Constructed per packet, exactly like the graph's rf_frontend_custom
-    // node (the factory owns any state reset policy).
-    const auto frontend = cfg_.custom_rf(rng.fork());
-    frontend->process_into(a, ws_.scene_b);
-    rx_over = &ws_.scene_b;
-  }
-
-  if (os > 1) {
-    last_rx_.resize(base_units);
-    if (cfg_.rf_engine == RfEngine::kNone) {
-      // DownsampleNode: the anti-alias lowpass delay line advances on every
-      // sample but only the kept phase-0 outputs need their dot product.
-      if (!ws_.down_filt)
-        ws_.down_filt =
-            std::make_unique<dsp::FirFilter>(dsp::resampling_taps(os));
-      ws_.down_filt->reset();
-      ws_.down_filt->process_decim_into(*rx_over, os, last_rx_);
-    } else {
-      // DecimateNode: the ADC samples the analog output raw.
-      for (std::size_t i = 0, oi = 0; i < rx_over->size(); i += os)
-        last_rx_[oi++] = (*rx_over)[i];
-    }
-  } else {
-    last_rx_.assign(rx_over->begin(), rx_over->end());
-  }
-
-  // The rf_input_probe tap: `a` still holds the post-noise/pre-frontend
-  // signal (the front-end wrote into scene_b), so hand the buffer over
-  // instead of copying it. The workspace gets it back at the next assign.
-  std::swap(last_rf_input_, a);
+rf::DoubleConversionReceiver& WlanLink::frontend() {
+  // The construction rng is irrelevant: every packet resets and reseeds
+  // the receiver before use — the documented reset() + reseed() ==
+  // fresh-construction equivalence.
+  if (!ws_.frontend)
+    ws_.frontend =
+        std::make_unique<rf::DoubleConversionReceiver>(cfg_.rf, dsp::Rng(0));
+  return *ws_.frontend;
 }
 
 // Reference path: assemble and run the dataflow block diagram. Required for
-// interpreted execution, co-simulation, and custom RF blocks; also the
-// baseline the direct path is verified against.
+// interpreted execution and co-simulation; also the baseline the direct
+// path is verified against.
 void WlanLink::run_scene_graph(dsp::CVec padded, dsp::Rng& rng) {
   const double p_sig = dsp::dbm_to_watts(cfg_.rx_power_dbm);
   const double fs_over = cfg_.rf.sample_rate_hz;
@@ -483,18 +360,7 @@ void WlanLink::run_scene_graph(dsp::CVec padded, dsp::Rng& rng) {
     head = add;
   }
 
-  // Channel noise: the antenna thermal floor plus (optionally) excess AWGN
-  // sized for the requested SNR. SNR is defined against the in-band
-  // (20 MHz) noise; the full-rate white noise carries `oversample` times
-  // that power.
-  double n_total =
-      cfg_.antenna_noise_density_dbm_hz > -250.0
-          ? dsp::dbm_to_watts(cfg_.antenna_noise_density_dbm_hz) * fs_over
-          : 0.0;
-  if (cfg_.snr_db.has_value()) {
-    n_total += p_sig / dsp::from_db(*cfg_.snr_db) *
-               static_cast<double>(cfg_.oversample);
-  }
+  const double n_total = noise_power();
   if (n_total > 0.0) {
     dsp::Rng nrng = rng.fork();
     auto* awgn = g.add<sim::FunctionNode>(

@@ -2,13 +2,18 @@
 // "the model of the double conversion receiver ... is inserted in front of
 // the DSP receiver part" of the IEEE 802.11a demo system (§4.1, Fig. 3).
 //
-// Each packet run assembles a dataflow graph
+// Each packet runs the chain
 //
 //   TX source (20 Msps) -> upsample -> [+ interferer] -> [+ AWGN]
-//     -> RF front-end (system-level or co-simulated) -> downsample
+//     -> RF front-end (system-level, co-simulated or custom) -> downsample
 //     -> DSP receiver (sync, channel est., Viterbi)
 //
-// and reports bit errors and constellation quality.
+// and reports bit errors and constellation quality. The chain runs one of
+// two ways, bit-identical to each other: as an assembled dataflow graph
+// (the SPW-style reference, and the only host for co-simulation and the
+// interpreted mode), or on the direct path — the scene-slot wave of
+// run_packet_wave, which every other packet goes through (see
+// LinkConfig::packet_path).
 #pragma once
 
 #include <limits>
@@ -23,13 +28,13 @@
 
 namespace wlansim::core {
 
-/// Memoized TX scene for one (configuration, packet index) pair: the
-/// payload, the pre-noise oversampled composite (TX waveform + impairments
-/// + interferer), the RNG state at the noise-injection point, and the unit
+/// TX scene slot for one (configuration, packet index) pair: the payload,
+/// the pre-noise oversampled composite (TX waveform + impairments +
+/// interferer), the RNG state at the noise-injection point, and the unit
 /// noise normals. Everything stored here is independent of the noise level
 /// (SNR / antenna noise density), so a BER sweep can build the scene once
 /// at the first SNR point and replay it bit-identically at every other —
-/// see WlanLink::run_packet_memo.
+/// see WlanLink::run_packet_wave.
 class TxScene {
  public:
   TxScene() = default;
@@ -38,12 +43,14 @@ class TxScene {
   std::uint64_t packet_index() const { return packet_index_; }
 
   /// Drop the cached scene (e.g. when the owning sweep changes packets).
-  /// Clears the front-end noise tapes too: their contents belong to the
-  /// packet index the scene was built for, and every rebuild funnels
-  /// through here, so a tape can never replay under the wrong packet.
+  /// Clears the cached noise normals and front-end noise tapes too: their
+  /// contents belong to the packet index the scene was built for, and every
+  /// rebuild funnels through here, so they can never replay under the
+  /// wrong packet.
   void reset() {
     valid_ = false;
     ref_points_valid_ = false;
+    noise_units_.clear();
     lna_tape_.clear();
     flicker_tape_.clear();
   }
@@ -55,7 +62,7 @@ class TxScene {
   std::uint64_t packet_index_ = 0;
   std::uint8_t scrambler_seed_ = 1;
   phy::Bytes payload_;
-  dsp::CVec scene_;            ///< pre-noise oversampled composite
+  dsp::CVec scene_;            ///< pre-noise oversampled composite (memo only)
   std::size_t base_units_ = 0; ///< scene run length in base-rate units
   dsp::Rng rng_post_tx_{0};    ///< packet RNG state at the noise fork
   dsp::RVec noise_units_;      ///< cached unit normals (2 per scene sample)
@@ -152,38 +159,32 @@ class WlanLink {
                                        std::uint64_t packet_index,
                                        phy::Bytes* rx_psdu = nullptr);
 
-  /// Run one packet, caching or replaying its noise-independent TX scene
-  /// in `scene`. When `scene` is valid for this packet index (built by an
-  /// earlier call on a link whose config differs only in noise level), the
-  /// TX side, channel build, and interferer are replayed bit-identically
-  /// instead of recomputed. Otherwise the packet runs in full and `scene`
-  /// is (re)built. Configurations the direct packet path cannot serve run
-  /// unmemoized and leave `scene` invalid.
-  PacketResult run_packet_memo(std::uint64_t packet_index, TxScene& scene);
-
-  /// Run `count` consecutive packets [begin_index, begin_index + count) as
-  /// one lockstep lane wave: each packet's TX scene is built (or replayed
-  /// from `scenes`) exactly as run_packet_memo would, then all lanes march
-  /// through AWGN, the RF front-end, and decimation together on a width-
-  /// `count` SoA buffer (see dsp/kernels.h "Packet-lane (SoA) kernels").
-  /// Lanes never mix arithmetically, so out[l] is bit-identical to
-  /// run_packet / run_packet_memo of the same index — the contract pinned
-  /// by tests/core/test_batch_wave.cpp.
+  /// Run `count` consecutive packets [begin_index, begin_index + count)
+  /// on the direct path: the one scene-slot wave every non-graph packet
+  /// runs through (run_packet is its width-1 call). Each packet's TX scene
+  /// is built (or replayed from `scenes`), then the lanes take AWGN, the RF
+  /// front-end and decimation. With count >= 2 and a chain that has lane
+  /// kernels (RfEngine::kNone, or a kSystemLevel front-end whose
+  /// supports_lanes() holds) the lanes march together through a width-
+  /// `count` SoA buffer (see dsp/kernels.h "Packet-lane (SoA) kernels");
+  /// otherwise each packet runs alone through the scalar fused
+  /// ChainExecutor. Lanes never mix arithmetically, so out[l] is
+  /// bit-identical to the graph reference of the same index — the contract
+  /// pinned by tests/core/test_packet_path.cpp and test_batch_wave.cpp.
   ///
-  /// `scenes` is either null (no memoization; batch-local scratch scenes
-  /// are used) or `count` TxScene slots, one per lane, with the same
-  /// build-or-replay semantics as run_packet_memo. On the memoized path
-  /// the wave additionally records the front-end's unit-normal noise tapes
-  /// into the scenes so later sweep points replay the gaussians instead of
-  /// re-deriving them.
+  /// `scenes` is either null (no memoization) or `count` TxScene slots, one
+  /// per lane: a slot valid for its packet index (built by an earlier call
+  /// on a link whose config differs only in noise level) is replayed —
+  /// TX side, channel build and interferer skipped, noise normals reused —
+  /// and any other slot is (re)built. Lockstep waves also record the
+  /// front-end's unit-normal noise tapes into the slots, so later sweep
+  /// points replay those gaussians instead of re-deriving them.
   ///
-  /// Returns false — computing nothing and leaving `out` untouched — when
-  /// the configuration cannot run in lockstep (graph path, co-simulation,
-  /// custom RF, phase noise, non-Rapp-p2 LNA, count outside [2, W]); the
-  /// caller then falls back to the scalar per-packet path. Scenes already
-  /// (re)built before a mid-wave bailout stay valid for that fallback.
-  /// The wave does not maintain last_rx_baseband()/last_rf_input() (debug
-  /// probes of the scalar path).
+  /// Returns false — computing nothing and leaving `out` untouched — only
+  /// for graph configs (see use_direct_path) or a count outside
+  /// [1, kLaneWidth]; the caller then runs run_packet per packet. A width-1
+  /// call maintains last_rx_baseband()/last_rf_input() like run_packet;
+  /// wider waves leave last_rf_input() alone.
   bool run_packet_wave(std::uint64_t begin_index, std::size_t count,
                        PacketBatch& batch, TxScene* scenes, PacketResult* out);
 
@@ -219,32 +220,43 @@ class WlanLink {
   };
 
   bool use_direct_path() const;
-  void run_scene_direct(const dsp::CVec& padded, dsp::Rng& rng);
   void run_scene_graph(dsp::CVec padded, dsp::Rng& rng);
 
-  PacketResult run_packet_impl(std::span<const std::uint8_t> psdu,
-                               std::uint64_t packet_index, phy::Bytes* rx_psdu,
-                               TxScene* scene);
-  /// First half of the direct scene: upsample + TX impairments + interferer
-  /// into ws_.scene_a. Returns the run length in base-rate units.
+  /// run_packet_wave plus the width-1 extras of run_packet_with_payload
+  /// (caller PSDU, decoded PSDU out). `batch` may be null when count == 1.
+  bool run_wave(std::uint64_t begin_index, std::size_t count,
+                PacketBatch* batch, TxScene* scenes, PacketResult* out,
+                std::span<const std::uint8_t> psdu, phy::Bytes* rx_psdu);
+  /// One pass of `nl` lanes through TX scene, noise, RF and decimation:
+  /// lockstep SoA lane kernels when nl >= 2, the scalar blocks and kernels
+  /// (fused RF chain included) when nl == 1.
+  /// Returns false (before any noise is drawn) when the lanes' scenes
+  /// differ in length and cannot share a buffer.
+  bool run_lanes(std::uint64_t begin_index, std::size_t nl,
+                 PacketBatch* batch, TxScene* scenes, PacketResult* out,
+                 std::span<const std::uint8_t> psdu, phy::Bytes* rx_psdu);
+  /// TX half shared by the graph and the direct path: seeds the packet
+  /// rng, draws the scrambler seed and payload (or takes `psdu`),
+  /// modulates, applies fading, and pads into ws_.padded. Records the
+  /// packet index, scrambler seed and payload in `scene` (reset first) and
+  /// returns the packet rng.
+  dsp::Rng build_tx(std::uint64_t packet_index,
+                    std::span<const std::uint8_t> psdu, TxScene& scene);
+  /// Upsample + TX impairments + interferer into ws_.scene_a. Returns the
+  /// run length in base-rate units.
   std::size_t build_scene_prenoise(const dsp::CVec& padded, dsp::Rng& rng);
-  /// Second half: channel noise, RF front-end, downsample (ws_.scene_a ->
-  /// last_rx_ / last_rf_input_). `noise_units` selects the noise mode:
-  /// nullptr draws directly from the rng fork; empty caches the unit
-  /// normals while applying them; non-empty replays the cached normals
-  /// (advancing the rng fork identically). All three are bit-identical.
-  void finish_scene_direct(std::size_t base_units, dsp::Rng& rng,
-                           dsp::RVec* noise_units);
-  /// DSP receiver + BER/EVM bookkeeping on last_rx_. `tx`/`frame` are the
-  /// live transmitter when the packet was just built (null on scene
-  /// replay, where the EVM reference is rebuilt from `scene`).
-  PacketResult receiver_epilogue(const phy::Bytes& payload,
-                                 const phy::Transmitter* tx,
-                                 const phy::Frame* frame, TxScene* scene,
-                                 phy::Bytes* rx_psdu);
+  /// Total channel noise power at the oversampled rate (antenna floor plus
+  /// SNR-sized AWGN); 0 = no noise stage.
+  double noise_power() const;
+  /// The built-in front-end, constructed on first use; every packet resets
+  /// and reseeds it before use.
+  rf::DoubleConversionReceiver& frontend();
+  /// DSP receiver + BER/EVM bookkeeping on last_rx_. The EVM reference is
+  /// rebuilt from the scene's (scrambler seed, payload) and cached in it,
+  /// so a memoized scene computes it once for every noise level.
+  PacketResult receiver_epilogue(TxScene& scene, phy::Bytes* rx_psdu);
 
   LinkConfig cfg_;
-  phy::Transmitter tx_;
   phy::Receiver rx_;
   dsp::CVec last_rx_;
   dsp::CVec last_rf_input_;

@@ -18,10 +18,12 @@
 
 namespace wlansim::core {
 
-/// Packet evaluation strategy (see LinkConfig::packet_path).
+/// Packet evaluation strategy (see LinkConfig::packet_path): the direct
+/// path is the scene-slot wave of WlanLink::run_packet_wave, the graph is
+/// the dataflow reference. Both are bit-identical.
 enum class PacketPath {
-  kAuto,    ///< direct when bit-identical to the graph, graph otherwise
-  kDirect,  ///< force the direct hot path (falls back where unsupported)
+  kAuto,    ///< the wave in compiled mode where supported, graph otherwise
+  kDirect,  ///< the wave in either mode where supported, graph otherwise
   kGraph    ///< force the dataflow-graph reference path
 };
 
@@ -95,11 +97,11 @@ struct LinkConfig {
   // --- Execution --------------------------------------------------------------
   sim::ExecutionMode mode = sim::ExecutionMode::kCompiled;
   /// How run_packet evaluates the chain. kAuto picks the allocation-free
-  /// direct path (persistent blocks + reused buffers) whenever it is
-  /// bit-identical to the dataflow graph — compiled mode with the kNone or
-  /// kSystemLevel engine — and the graph otherwise. kGraph forces the
-  /// dataflow engine (the reference); kDirect forces the direct path where
-  /// supported and falls back to the graph elsewhere.
+  /// direct path (the scene-slot wave: persistent blocks + reused buffers)
+  /// in compiled mode with the kNone, kSystemLevel or kCustom engine, and
+  /// the graph otherwise (co-simulation, interpreted mode). kGraph forces
+  /// the dataflow engine (the reference); kDirect also takes the wave in
+  /// interpreted mode and falls back to the graph for co-simulation.
   PacketPath packet_path = PacketPath::kAuto;
   /// Idle samples (20 Msps) before the frame: AGC settling + detection run-in.
   std::size_t lead_samples = 600;

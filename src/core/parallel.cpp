@@ -46,21 +46,16 @@ struct SceneCache {
   std::vector<TxScene> scenes;
 };
 
-/// Run packets [begin, end) of one point as a lockstep lane wave when the
-/// configuration allows it, else packet by packet on the scalar path.
+/// Run packets [begin, end) of one point as one direct-path wave, or packet
+/// by packet on the graph for configs the direct path cannot serve.
 /// `scenes` (null = unmemoized) and `out` are lane-indexed: slot p belongs
 /// to packet begin + p. Both paths are bit-identical, so callers never need
 /// to know which one ran.
 void run_chunk(WlanLink& link, std::size_t begin, std::size_t end,
                TxScene* scenes, PacketResult* out) {
-  const std::size_t count = end - begin;
-  if (count >= 2) {
-    thread_local PacketBatch batch;  // per-worker, reused across waves
-    if (link.run_packet_wave(begin, count, batch, scenes, out)) return;
-  }
-  for (std::size_t p = 0; p < count; ++p)
-    out[p] = scenes != nullptr ? link.run_packet_memo(begin + p, scenes[p])
-                               : link.run_packet(begin + p);
+  thread_local PacketBatch batch;  // per-worker, reused across waves
+  if (link.run_packet_wave(begin, end - begin, batch, scenes, out)) return;
+  for (std::size_t p = begin; p < end; ++p) out[p - begin] = link.run_packet(p);
 }
 
 /// Stopping-rule boundaries are multiples of kStopQuantum (plus the cap),

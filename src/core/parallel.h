@@ -113,10 +113,10 @@ struct AdaptiveResume {
 /// share one work queue, so early-converging points donate their workers to
 /// the stragglers. When the configs share a TX fingerprint, each packet's
 /// noise-independent TX scene is built once and replayed at every point
-/// (WlanLink::run_packet_memo), bit-exactly. Each BerResult carries the
-/// streaming statistics (packets run, errors, CI half-width, wall time to
-/// the stopping decision, converged flag). Throws std::invalid_argument when
-/// rule.max_packets is 0.
+/// (the scene slots of WlanLink::run_packet_wave), bit-exactly. Each
+/// BerResult carries the streaming statistics (packets run, errors, CI
+/// half-width, wall time to the stopping decision, converged flag). Throws
+/// std::invalid_argument when rule.max_packets is 0.
 ///
 /// `resume` (optional) adds checkpoint/resume plumbing: with a progress
 /// vector from an earlier (preempted) run the sweep continues from that

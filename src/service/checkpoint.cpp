@@ -247,6 +247,20 @@ void remove_checkpoint(const std::filesystem::path& dir,
   std::filesystem::remove(checkpoint_path(dir, key), ec);
 }
 
+std::vector<core::BerResult> sweep_resume_or_cold(
+    std::span<const core::LinkConfig> configs, const sim::StoppingRule& rule,
+    const core::SweepOptions& opts, core::AdaptiveResume& resume,
+    bool* cold_restarted) {
+  try {
+    return core::sweep_ber_adaptive(configs, rule, opts, &resume);
+  } catch (const std::invalid_argument&) {
+    resume.progress.clear();
+    resume.preempted = false;
+    if (cold_restarted != nullptr) *cold_restarted = true;
+    return core::sweep_ber_adaptive(configs, rule, opts, &resume);
+  }
+}
+
 std::vector<core::BerResult> run_cold_pass_checkpointed(
     const std::filesystem::path& dir,
     std::span<const core::LinkConfig> configs, const sim::StoppingRule& rule,
@@ -271,18 +285,7 @@ std::vector<core::BerResult> run_cold_pass_checkpointed(
     return !stopping;
   };
 
-  std::vector<core::BerResult> results;
-  try {
-    results = core::sweep_ber_adaptive(configs, rule, opts, &resume);
-  } catch (const std::invalid_argument&) {
-    // A checkpoint that passed parsing but fails the engine's resume
-    // validation (e.g. written under a colliding key with different
-    // semantics) is treated like any other corrupt file: cold start.
-    resume.progress.clear();
-    resume.preempted = false;
-    results = core::sweep_ber_adaptive(configs, rule, opts, &resume);
-  }
-
+  auto results = sweep_resume_or_cold(configs, rule, opts, resume);
   if (resume.preempted) {
     if (!key.empty()) save_checkpoint(dir, key, resume.progress);
     throw PreemptedError(

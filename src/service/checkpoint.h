@@ -71,6 +71,15 @@ std::optional<std::vector<core::SweepPointProgress>> load_checkpoint(
 
 void remove_checkpoint(const std::filesystem::path& dir, std::string_view key);
 
+/// core::sweep_ber_adaptive from `resume`. A resume state the engine rejects
+/// (std::invalid_argument: e.g. saved under another cap) counts as a corrupt
+/// checkpoint: progress cleared, cold re-run with the same on_wave, and
+/// `*cold_restarted` (optional) set.
+std::vector<core::BerResult> sweep_resume_or_cold(
+    std::span<const core::LinkConfig> configs, const sim::StoppingRule& rule,
+    const core::SweepOptions& opts, core::AdaptiveResume& resume,
+    bool* cold_restarted = nullptr);
+
 /// sweep_ber_adaptive with checkpointing: loads any checkpoint for this
 /// (configs, rule) key, resumes from it, saves progress at every
 /// `checkpoint_every_waves`-th wave boundary, and removes the file on

@@ -152,40 +152,29 @@ bool serve_shard(int fd, const ShardRequest& req,
       opts.checkpoint_every_waves, 1);
 
   core::AdaptiveResume resume;
-  auto run_once = [&](std::vector<core::SweepPointProgress> start) {
-    resume = core::AdaptiveResume{};
-    resume.progress = std::move(start);
-    std::size_t wave = 0;
-    resume.on_wave = [&, wave](
-                         std::span<const core::SweepPointProgress> ps) mutable {
-      const bool stopping = opts.stop && opts.stop->load();
-      if (stopping || peer_gone(fd)) {
+  resume.progress = std::move(seed);
+  std::size_t wave = 0;
+  resume.on_wave = [&](std::span<const core::SweepPointProgress> ps) {
+    const bool stopping = opts.stop && opts.stop->load();
+    if (stopping || peer_gone(fd)) {
+      if (ckpt) save_checkpoint(opts.checkpoint_dir, key, ps);
+      return false;
+    }
+    ++wave;
+    if (wave % ckpt_every == 0 && ckpt)
+      save_checkpoint(opts.checkpoint_dir, key, ps);
+    if (wave % report_every == 0) {
+      if (!send_line(fd, shard_progress_response(ps))) {
         if (ckpt) save_checkpoint(opts.checkpoint_dir, key, ps);
         return false;
       }
-      ++wave;
-      if (wave % ckpt_every == 0 && ckpt)
-        save_checkpoint(opts.checkpoint_dir, key, ps);
-      if (wave % report_every == 0) {
-        if (!send_line(fd, shard_progress_response(ps))) {
-          if (ckpt) save_checkpoint(opts.checkpoint_dir, key, ps);
-          return false;
-        }
-      }
-      return true;
-    };
-    return core::sweep_ber_adaptive(req.links, req.rule, sopts, &resume);
+    }
+    return true;
   };
-
-  std::vector<core::BerResult> results;
-  try {
-    results = run_once(std::move(seed));
-  } catch (const std::invalid_argument&) {
-    // Stale or incompatible resume state (e.g. saved under a different
-    // cap): clean cold re-run, exactly as the single-process path does.
-    resumed = 0;
-    results = run_once({});
-  }
+  bool cold = false;
+  const std::vector<core::BerResult> results =
+      sweep_resume_or_cold(req.links, req.rule, sopts, resume, &cold);
+  if (cold) resumed = 0;
   if (resume.preempted) return false;
   if (ckpt) remove_checkpoint(opts.checkpoint_dir, key);
   return send_line(fd, shard_done_response(results, resume.progress, resumed));
@@ -396,6 +385,16 @@ std::vector<core::BerResult> ShardCoordinator::run(
 
   const auto stopping = [&] { return opts_.stop && opts_.stop->load(); };
 
+  // However run() exits, no worker stays marked in flight (after a bad line
+  // or a poll error, the next pass would read that stale shard's lines).
+  struct InFlightCloser {
+    ShardCoordinator& c;
+    ~InFlightCloser() {
+      for (Worker& w : c.workers_)
+        if (w.shard != -1) c.close_worker(w);
+    }
+  } in_flight_closer{*this};
+
   std::vector<int> pending;  // task indices awaiting a worker
   for (std::size_t s = 0; s < tasks.size(); ++s)
     pending.push_back(static_cast<int>(s));
@@ -437,23 +436,11 @@ std::vector<core::BerResult> ShardCoordinator::run(
       t.progress.assign(ps.begin(), ps.end());
       return false;
     };
-    std::vector<core::BerResult> results;
-    try {
-      results = core::sweep_ber_adaptive(links, rule, sweep_opts, &resume);
-    } catch (const std::invalid_argument&) {
-      resume = core::AdaptiveResume{};
-      resume.on_wave = [&](std::span<const core::SweepPointProgress> ps) {
-        if (!stopping()) return true;
-        t.progress.assign(ps.begin(), ps.end());
-        return false;
-      };
-      results = core::sweep_ber_adaptive(links, rule, sweep_opts, &resume);
-    }
+    t.results = sweep_resume_or_cold(links, rule, sweep_opts, resume);
     if (resume.preempted) {
       save_merged();
       throw PreemptedError("sharded cold pass preempted: checkpoint saved");
     }
-    t.results = std::move(results);
     t.done = true;
     ++done_count;
   };

@@ -1,8 +1,9 @@
-// The lockstep packet-wave engine's bit-identity contract: every lane of
-// WlanLink::run_packet_wave equals the scalar per-packet path exactly, so
-// the sweep engine's width-8 waves EXPECT_EQ the width-1 scalar reference
-// (WlanLink::run_ber) for any thread count, with and without TX-scene
-// memoization.
+// The packet-wave engine's bit-identity contract: every lane of
+// WlanLink::run_packet_wave equals the dataflow-graph reference exactly,
+// whatever the wave width and whichever call built its scene slot, so the
+// sweep engine's width-8 waves EXPECT_EQ the width-1 reference
+// (WlanLink::run_ber, scalar RF blocks) for any thread count, with and
+// without TX-scene memoization.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -21,6 +22,12 @@ void expect_identical(const PacketResult& a, const PacketResult& b) {
   EXPECT_EQ(a.bit_errors, b.bit_errors);
   EXPECT_EQ(a.evm_rms, b.evm_rms);
   EXPECT_EQ(a.cfo_norm, b.cfo_norm);
+}
+
+/// The reference: the same config on the dataflow graph.
+WlanLink graph_link(LinkConfig cfg) {
+  cfg.packet_path = PacketPath::kGraph;
+  return WlanLink(std::move(cfg));
 }
 
 std::vector<LinkConfig> waterfall(std::initializer_list<double> snrs) {
@@ -47,49 +54,51 @@ void expect_matches_scalar(const LinkConfig& cfg, const BerResult& got) {
 }  // namespace
 
 TEST(BatchWave, WaveLanesMatchScalarPackets) {
-  // Direct engine-less check of run_packet_wave against run_packet, both
-  // full width and a ragged tail width, unmemoized.
+  // Engine-less check of run_packet_wave against the graph at full width, a
+  // ragged tail width and width 1, unmemoized.
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 40;
   cfg.snr_db = 16.0;
-  WlanLink scalar(cfg), batched(cfg);
+  WlanLink graph = graph_link(cfg), batched(cfg);
 
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(batched.run_packet_wave(0, 8, batch, nullptr, out));
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out[p], scalar.run_packet(p));
+    expect_identical(out[p], graph.run_packet(p));
   }
   ASSERT_TRUE(batched.run_packet_wave(8, 3, batch, nullptr, out));
   for (std::size_t p = 0; p < 3; ++p) {
     SCOPED_TRACE("packet " + std::to_string(8 + p));
-    expect_identical(out[p], scalar.run_packet(8 + p));
+    expect_identical(out[p], graph.run_packet(8 + p));
   }
+  ASSERT_TRUE(batched.run_packet_wave(11, 1, batch, nullptr, out));
+  expect_identical(out[0], graph.run_packet(11));
 }
 
 TEST(BatchWave, WaveMatchesScalarWithoutRfFrontend) {
   // RfEngine::kNone: the wave decimates through the lane FIR instead of
-  // the raw ADC stride; still bit-identical to the scalar path.
+  // the raw ADC stride; still bit-identical to the graph's DownsampleNode.
   LinkConfig cfg = default_link_config();
   cfg.psdu_bytes = 40;
   cfg.snr_db = 10.0;
   cfg.rf_engine = RfEngine::kNone;
-  WlanLink scalar(cfg), batched(cfg);
+  WlanLink graph = graph_link(cfg), batched(cfg);
 
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(batched.run_packet_wave(0, 8, batch, nullptr, out));
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out[p], scalar.run_packet(p));
+    expect_identical(out[p], graph.run_packet(p));
   }
 }
 
 TEST(BatchWave, MemoizedWaveBuildsAndReplaysScenes) {
   // Build at one noise level, replay at another — the memoized wave's
-  // scenes (and recorded front-end tapes) must reproduce what scalar
-  // run_packet computes at each level from scratch.
+  // scenes (and recorded front-end tapes) must reproduce what the graph
+  // computes at each level from scratch.
   LinkConfig lo = default_link_config();
   lo.psdu_bytes = 40;
   lo.snr_db = 12.0;
@@ -104,45 +113,86 @@ TEST(BatchWave, MemoizedWaveBuildsAndReplaysScenes) {
   for (const TxScene& sc : scenes) EXPECT_TRUE(sc.valid());
   ASSERT_TRUE(wave_hi.run_packet_wave(0, 8, batch, scenes.data(), out_hi));
 
-  WlanLink scalar_lo(lo), scalar_hi(hi);
+  WlanLink graph_lo = graph_link(lo), graph_hi = graph_link(hi);
   for (std::size_t p = 0; p < 8; ++p) {
     SCOPED_TRACE("packet " + std::to_string(p));
-    expect_identical(out_lo[p], scalar_lo.run_packet(p));
-    expect_identical(out_hi[p], scalar_hi.run_packet(p));
+    expect_identical(out_lo[p], graph_lo.run_packet(p));
+    expect_identical(out_hi[p], graph_hi.run_packet(p));
+  }
+
+  // Slots handed the next packet indices rebuild from scratch, at full
+  // width and in width-1 calls alike.
+  ASSERT_TRUE(wave_hi.run_packet_wave(8, 8, batch, scenes.data(), out_hi));
+  for (std::size_t p = 0; p < 8; ++p) {
+    SCOPED_TRACE("rebuilt packet " + std::to_string(8 + p));
+    expect_identical(out_hi[p], graph_hi.run_packet(8 + p));
+    ASSERT_TRUE(wave_lo.run_packet_wave(16 + p, 1, batch, &scenes[p], out_lo));
+    expect_identical(out_lo[0], graph_lo.run_packet(16 + p));
   }
 }
 
 TEST(BatchWave, ScenesInterchangeWithScalarMemoPath) {
-  // Scenes built by the wave replay through run_packet_memo and vice
-  // versa — the two memo paths share one TxScene contract.
+  // Scene slots built by a width-8 wave replay through width-1 calls (the
+  // scalar RF chain) and vice versa — both widths share one TxScene
+  // contract.
   LinkConfig lo = default_link_config();
   lo.psdu_bytes = 40;
   lo.snr_db = 12.0;
   LinkConfig hi = lo;
   hi.snr_db = 22.0;
+  WlanLink ref_hi = graph_link(hi);
 
-  // Wave builds, scalar replays.
-  WlanLink wave_lo(lo), scalar_hi(hi);
+  // Width 8 builds, width 1 replays.
+  WlanLink wave_lo(lo), solo_hi(hi);
   std::vector<TxScene> scenes(8);
   PacketBatch batch;
   PacketResult out[8];
   ASSERT_TRUE(wave_lo.run_packet_wave(0, 8, batch, scenes.data(), out));
-  WlanLink ref_hi(hi);
   for (std::size_t p = 0; p < 8; ++p) {
-    SCOPED_TRACE("wave->scalar packet " + std::to_string(p));
-    expect_identical(scalar_hi.run_packet_memo(p, scenes[p]),
-                     ref_hi.run_packet(p));
+    SCOPED_TRACE("wave->solo packet " + std::to_string(p));
+    PacketResult r;
+    ASSERT_TRUE(solo_hi.run_packet_wave(p, 1, batch, &scenes[p], &r));
+    expect_identical(r, ref_hi.run_packet(p));
   }
 
-  // Scalar builds, wave replays.
+  // Width 1 builds, width 8 replays.
   std::vector<TxScene> scenes2(8);
-  WlanLink scalar_lo(lo), wave_hi(hi);
+  WlanLink solo_lo(lo), wave_hi(hi);
   for (std::size_t p = 0; p < 8; ++p)
-    (void)scalar_lo.run_packet_memo(p, scenes2[p]);
+    ASSERT_TRUE(solo_lo.run_packet_wave(p, 1, batch, &scenes2[p], out));
   ASSERT_TRUE(wave_hi.run_packet_wave(0, 8, batch, scenes2.data(), out));
   for (std::size_t p = 0; p < 8; ++p) {
-    SCOPED_TRACE("scalar->wave packet " + std::to_string(p));
+    SCOPED_TRACE("solo->wave packet " + std::to_string(p));
     expect_identical(out[p], ref_hi.run_packet(p));
+  }
+}
+
+TEST(BatchWave, NoiselessConfigIgnoresTapesOfNoisyOne) {
+  // Channel noise decides whether the front-end takes fork 1 or fork 2, so
+  // front-end tapes recorded at a noisy config must not replay at a
+  // noiseless one sharing the scene slots, nor the other way round.
+  LinkConfig noisy = default_link_config();
+  noisy.psdu_bytes = 40;
+  LinkConfig quiet = noisy;
+  quiet.snr_db.reset();
+  quiet.antenna_noise_density_dbm_hz = -300.0;
+
+  PacketBatch batch;
+  PacketResult out[8];
+  for (const bool noisy_first : {true, false}) {
+    SCOPED_TRACE(noisy_first ? "noisy builds" : "quiet builds");
+    const LinkConfig& build = noisy_first ? noisy : quiet;
+    const LinkConfig& replay = noisy_first ? quiet : noisy;
+    std::vector<TxScene> scenes(8);
+    ASSERT_TRUE(WlanLink(build).run_packet_wave(0, 8, batch, scenes.data(),
+                                                out));
+    ASSERT_TRUE(WlanLink(replay).run_packet_wave(0, 8, batch, scenes.data(),
+                                                 out));
+    WlanLink graph = graph_link(replay);
+    for (std::size_t p = 0; p < 8; ++p) {
+      SCOPED_TRACE("packet " + std::to_string(p));
+      expect_identical(out[p], graph.run_packet(p));
+    }
   }
 }
 

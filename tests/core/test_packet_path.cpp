@@ -1,11 +1,20 @@
-// The direct (workspace-reuse) packet path must be indistinguishable from
-// the dataflow-graph reference — bit for bit, across every feature that
-// changes the chain's topology (interferer, TX impairments, SCO, fading,
-// both supported RF engines).
+// The direct packet path (the scene-slot wave of WlanLink::run_packet_wave)
+// must be indistinguishable from the dataflow-graph reference — bit for
+// bit, across every feature that changes the chain's topology (interferer,
+// TX impairments, SCO, fading, every direct RF engine) or moves a front-end
+// off the lockstep lane kernels onto the per-lane scalar chain (phase
+// noise, LO offset, AM/PM, non-Rapp LNA, custom blocks). Each config runs
+// as width-1 packets, as an unmemoized width-8 wave, and as a width-8 wave
+// replaying scene slots built at another SNR.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/experiments.h"
 #include "core/link.h"
+#include "core/packet_batch.h"
+#include "dsp/kernels.h"
+#include "rf/direct_conversion.h"
 
 namespace wlansim::core {
 namespace {
@@ -43,6 +52,32 @@ void expect_paths_match(LinkConfig cfg, std::uint64_t packets = 2) {
       ASSERT_EQ(bd[k].imag(), bg[k].imag()) << "sample " << k;
     }
     ASSERT_EQ(direct.last_rf_input().size(), graph.last_rf_input().size());
+  }
+
+  // The same config as width-8 waves: every lane against the graph.
+  constexpr std::size_t kWidth = dsp::kernels::kLaneWidth;
+  std::vector<PacketResult> ref(kWidth);
+  for (std::size_t p = 0; p < kWidth; ++p) ref[p] = graph.run_packet(p);
+  PacketBatch batch;
+  PacketResult out[kWidth];
+  ASSERT_TRUE(direct.run_packet_wave(0, kWidth, batch, nullptr, out));
+  for (std::size_t p = 0; p < kWidth; ++p) {
+    SCOPED_TRACE("unmemoized lane " + std::to_string(p));
+    expect_identical(out[p], ref[p]);
+  }
+
+  // Scene slots built at another noise level, replayed on this link.
+  cfg.packet_path = PacketPath::kDirect;
+  LinkConfig other = cfg;
+  if (other.snr_db.has_value()) *other.snr_db += 9.0;
+  std::vector<TxScene> scenes(kWidth);
+  ASSERT_TRUE(WlanLink(other).run_packet_wave(0, kWidth, batch, scenes.data(),
+                                              out));
+  for (const TxScene& sc : scenes) ASSERT_TRUE(sc.valid());
+  ASSERT_TRUE(direct.run_packet_wave(0, kWidth, batch, scenes.data(), out));
+  for (std::size_t p = 0; p < kWidth; ++p) {
+    SCOPED_TRACE("replayed lane " + std::to_string(p));
+    expect_identical(out[p], ref[p]);
   }
 }
 
@@ -95,6 +130,50 @@ TEST(PacketPath, NoOversampling) {
   LinkConfig cfg = small_config();
   cfg.oversample = 1;
   cfg.rf_engine = RfEngine::kNone;
+  expect_paths_match(cfg);
+}
+
+// Front-ends without lane kernels for every block take the per-lane scalar
+// chain inside a wave; each must still match the graph lane for lane.
+TEST(PacketPath, WithLoPhaseNoise) {
+  LinkConfig cfg = small_config();
+  cfg.rf.lo_phase_noise.level_dbc_hz = -95.0;
+  cfg.rf.lo_phase_noise.offset_hz = 100e3;
+  expect_paths_match(cfg);
+}
+
+TEST(PacketPath, WithLoOffset) {
+  LinkConfig cfg = small_config();
+  cfg.rf.lo_offset_hz = 25e3;
+  expect_paths_match(cfg);
+}
+
+TEST(PacketPath, WithLnaAmPm) {
+  LinkConfig cfg = small_config();
+  cfg.rf.lna_am_pm_max_deg = 10.0;
+  expect_paths_match(cfg);
+}
+
+TEST(PacketPath, WithClippedCubicLna) {
+  LinkConfig cfg = small_config();
+  cfg.rf.lna_model = rf::NonlinearityModel::kClippedCubic;
+  expect_paths_match(cfg);
+}
+
+TEST(PacketPath, CustomFrontend) {
+  // The zero-IF receiver of bench/architecture_comparison, built per packet
+  // by the factory on both paths.
+  LinkConfig cfg = small_config();
+  cfg.rf_engine = RfEngine::kCustom;
+  const double fs = phy::kSampleRate * static_cast<double>(cfg.oversample);
+  cfg.custom_rf = [fs](dsp::Rng rng) -> std::unique_ptr<rf::RfBlock> {
+    rf::DirectConversionConfig zc;
+    zc.sample_rate_hz = fs;
+    zc.dynamic_dc_rms = 3e-5;
+    zc.iq_gain_imbalance_db = 0.3;
+    zc.iq_phase_error_deg = 2.0;
+    return std::make_unique<rf::DirectConversionReceiver>(zc, rng);
+  };
   expect_paths_match(cfg);
 }
 

@@ -9,6 +9,7 @@
 
 #include "ber_expect.h"
 #include "core/experiments.h"
+#include "core/packet_batch.h"
 #include "core/parallel.h"
 
 namespace wlansim::core {
@@ -77,27 +78,33 @@ TEST(SweepMemo, ThreadCountInvariant) {
 }
 
 TEST(SweepMemo, ScenePacketReplayMatchesFullRun) {
-  // Link-level contract behind the sweep: a scene built at one noise level
-  // replays bit-identically on a link that differs only in SNR.
+  // Link-level contract behind the sweep: a scene slot built at one noise
+  // level replays bit-identically on a link that differs only in SNR. The
+  // reference is the graph at each level.
   LinkConfig cfg_hi = default_link_config();
   cfg_hi.psdu_bytes = 40;
   cfg_hi.snr_db = 24.0;
   LinkConfig cfg_lo = cfg_hi;
   cfg_lo.snr_db = 13.0;
 
-  WlanLink builder(cfg_hi);
+  WlanLink build_hi(cfg_hi);
   WlanLink replayer(cfg_lo);
-  WlanLink fresh(cfg_lo);
+  LinkConfig graph_hi = cfg_hi, graph_lo = cfg_lo;
+  graph_hi.packet_path = graph_lo.packet_path = PacketPath::kGraph;
+  WlanLink fresh(graph_lo);
 
+  PacketBatch batch;
   for (std::uint64_t idx : {0ull, 3ull}) {
     TxScene scene;
-    const PacketResult built = builder.run_packet_memo(idx, scene);
+    PacketResult built;
+    ASSERT_TRUE(build_hi.run_packet_wave(idx, 1, batch, &scene, &built));
     ASSERT_TRUE(scene.valid());
-    const PacketResult direct_hi = WlanLink(cfg_hi).run_packet(idx);
+    const PacketResult direct_hi = WlanLink(graph_hi).run_packet(idx);
     EXPECT_EQ(built.bit_errors, direct_hi.bit_errors);
     EXPECT_EQ(built.evm_rms, direct_hi.evm_rms);
 
-    const PacketResult replayed = replayer.run_packet_memo(idx, scene);
+    PacketResult replayed;
+    ASSERT_TRUE(replayer.run_packet_wave(idx, 1, batch, &scene, &replayed));
     const PacketResult direct = fresh.run_packet(idx);
     EXPECT_EQ(replayed.decoded, direct.decoded) << "idx " << idx;
     EXPECT_EQ(replayed.bits, direct.bits) << "idx " << idx;

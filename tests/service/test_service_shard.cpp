@@ -5,6 +5,7 @@
 // back bit-identical to the single-process pooled pass.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -539,6 +540,63 @@ TEST(ShardCoordinatorTest, FallsBackToLocalWhenWorkersUnreachable) {
   ASSERT_EQ(sharded.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i)
     expect_identical(sharded[i], direct[i]);
+}
+
+TEST(ShardCoordinatorTest, BadWorkerLineLeavesNoStaleShardForNextPass) {
+  // A test-owned worker answers its first shard request with a line that is
+  // not JSON, then streams a real serve_shard run of that request. run()
+  // throws on the bad line; the next pass, on different configs, must not
+  // fold the first shard's stale lines into its own tasks.
+  const std::string path =
+      "/tmp/wlansim-stale-" + std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  ASSERT_EQ(
+      ::bind(lfd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 4), 0);
+
+  std::atomic<bool> finished{false};
+  std::thread worker([&] {
+    for (int conn = 0; conn < 2 && !finished.load();) {
+      pollfd p{lfd, POLLIN, 0};
+      if (::poll(&p, 1, 100) <= 0) continue;
+      const int cfd = ::accept(lfd, nullptr, nullptr);
+      if (cfd < 0) continue;
+      std::string line;
+      char c;
+      while (::recv(cfd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
+      if (const std::optional<Json> j = Json::parse(line)) {
+        if (conn == 0) (void)::send(cfd, "not json\n", 9, MSG_NOSIGNAL);
+        (void)serve_shard(cfd, ShardRequest::from_json(*j), {});
+      }
+      ::close(cfd);
+      ++conn;
+    }
+  });
+
+  ShardCoordinator::Options opts;
+  opts.attach_sockets = {path};
+  ShardCoordinator coord(std::move(opts));
+  const sim::StoppingRule rule = small_rule();
+  core::SweepOptions sopts;
+  sopts.threads = 2;
+  EXPECT_THROW(coord.run(study({6.0, 8.0}), rule, sopts), std::runtime_error);
+  const std::vector<core::LinkConfig> second = study({10.0, 12.0});
+  const std::vector<core::BerResult> got = coord.run(second, rule, sopts);
+  finished.store(true);
+  worker.join();
+  ::close(lfd);
+  ::unlink(path.c_str());
+
+  const std::vector<core::BerResult> direct =
+      core::sweep_ber_adaptive(second, rule, sopts);
+  ASSERT_EQ(got.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i)
+    expect_identical(got[i], direct[i]);
 }
 
 // --- Scheduler integration --------------------------------------------------
