@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/surrogate.h"
 
@@ -108,6 +109,13 @@ std::optional<sim::StoppingRule> stopping_rule_from_args(const CliArgs& args) {
   rule.min_errors = args.get_count("min-errors", rule.min_errors, 0);
   rule.min_packets = args.get_count("min-packets", rule.min_packets, 0);
   rule.max_packets = args.get_count("max-packets", rule.max_packets, 1);
+  // The wire decoder (service::rule_from_json) refuses the same rule, so
+  // the local CLI and wlansim_client accept exactly the same flags.
+  if (rule.max_packets < rule.min_packets)
+    throw std::invalid_argument(
+        "option --max-packets expects a count >= --min-packets (" +
+        std::to_string(rule.min_packets) + "), got " +
+        std::to_string(rule.max_packets));
   return rule;
 }
 

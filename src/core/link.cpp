@@ -8,6 +8,7 @@
 #include "dsp/kernels.h"
 #include "dsp/mathutil.h"
 #include "dsp/resample.h"
+#include "dsp/rng.h"
 #include "phy80211a/bits.h"
 #include "rf/amplifier.h"
 #include "rf/mixer.h"
@@ -17,10 +18,7 @@
 namespace wlansim::core {
 
 std::uint64_t packet_seed(std::uint64_t seed, std::uint64_t idx) {
-  std::uint64_t z = seed + (idx + 1) * 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return dsp::mix64(seed + idx * 0x9e3779b97f4a7c15ull);
 }
 
 namespace {

@@ -168,4 +168,41 @@ class Rng {
   bool saved_available_ = false;
 };
 
+// Stateless counter-based draws (Salmon et al., "Parallel Random Numbers:
+// As Easy as 1, 2, 3", SC'11): a draw is a pure function of a 64-bit key
+// and a small counter, so a consumer that needs one or two numbers per
+// (entity, step) tuple pays a few multiplies instead of seeding and
+// twisting a 2.5 KB Mersenne Twister. The key must itself be a
+// well-mixed hash (core::packet_seed, scenario::geo_seed): the counter
+// offsets are golden-ratio strides of it.
+
+/// The splitmix64 output function (Steele, Lea & Flood, OOPSLA'14): adds
+/// the golden-ratio increment, then a full-avalanche bijective finalizer.
+inline std::uint64_t mix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Uniform in [0, 1): the top 53 bits of mix64(key + k * golden) scaled
+/// by 2^-53, so every value is an exact multiple of 2^-53 and 1.0 is
+/// unreachable. `k` picks independent draws under one key.
+inline double counter_uniform(std::uint64_t key, std::uint64_t k = 0) {
+  // The shifted value fits 53 bits, so the signed conversion is exact and
+  // compiles to one instruction (the unsigned one branches on the sign).
+  const std::uint64_t bits = mix64(key + k * 0x9e3779b97f4a7c15ull) >> 11;
+  return static_cast<double>(static_cast<std::int64_t>(bits)) * 0x1p-53;
+}
+
+/// Standard normal from one key: Box-Muller over counter_uniform(key, 0)
+/// and (key, 1), with the radius uniform taken in (0, 1] so log never sees
+/// zero (|result| <= sqrt(106 ln 2) ~ 8.57). No rejection loop, so the
+/// cost is one log, one sqrt and one cos per draw.
+inline double counter_gaussian(std::uint64_t key) {
+  const double u1 = 1.0 - counter_uniform(key, 0);
+  const double u2 = counter_uniform(key, 1);
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
 }  // namespace wlansim::dsp

@@ -84,10 +84,12 @@ Geo station_geometry(const DropConfig& cfg, double noise_floor_dbm,
   return g;
 }
 
-core::LinkConfig station_link_config(const DropConfig& cfg, double snr_db,
-                                     std::optional<double> adj_level_db,
-                                     std::optional<double> adj_offset_hz) {
-  core::LinkConfig link = cfg.link;
+/// Point `link`, a copy of cfg.link, at one station-step. Only the SNR and
+/// the adjacent-channel interferer differ between stations, so run_drop
+/// keeps one copy per station and rewrites just these two fields.
+void set_station_link(const DropConfig& cfg, core::LinkConfig& link,
+                      double snr_db, std::optional<double> adj_level_db,
+                      std::optional<double> adj_offset_hz) {
   link.snr_db = snr_db;
   if (adj_level_db.has_value()) {
     channel::InterfererConfig jam =
@@ -98,15 +100,16 @@ core::LinkConfig station_link_config(const DropConfig& cfg, double snr_db,
   } else {
     link.interferer.reset();
   }
-  return link;
 }
 
 }  // namespace
 
 core::LinkConfig sample_link_config(const DropConfig& cfg,
                                     const StationSample& s) {
-  return station_link_config(cfg, s.snr_bin_db, s.adj_level_db,
-                             adjacent_offset(cfg));
+  core::LinkConfig link = cfg.link;
+  set_station_link(cfg, link, s.snr_bin_db, s.adj_level_db,
+                   adjacent_offset(cfg));
+  return link;
 }
 
 DropSummary run_drop(const DropConfig& cfg, const SampleSink& sink) {
@@ -149,7 +152,7 @@ DropSummary run_drop(const DropConfig& cfg, const SampleSink& sink) {
 
   DropSummary summary;
   std::vector<Geo> geo(cfg.num_stations);
-  std::vector<core::LinkConfig> configs(cfg.num_stations);
+  std::vector<core::LinkConfig> configs(cfg.num_stations, cfg.link);
   for (std::uint32_t step = 0; step < cfg.num_steps; ++step) {
     if (step > 0) {
       for (std::size_t i = 0; i < cfg.num_stations; ++i) {
@@ -161,8 +164,8 @@ DropSummary run_drop(const DropConfig& cfg, const SampleSink& sink) {
     for (std::size_t i = 0; i < cfg.num_stations; ++i) {
       geo[i] = station_geometry(cfg, noise_floor_dbm,
                                 static_cast<std::uint32_t>(i), step, pos[i]);
-      configs[i] = station_link_config(cfg, geo[i].snr_db,
-                                       geo[i].adj_level_db, adj_offset);
+      set_station_link(cfg, configs[i], geo[i].snr_db, geo[i].adj_level_db,
+                       adj_offset);
     }
 
     StepSummary ss;

@@ -1,5 +1,6 @@
 #include "scenario/geometry.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dsp/rng.h"
@@ -7,14 +8,6 @@
 namespace wlansim::scenario {
 
 namespace {
-
-/// splitmix64 finalizer: full-avalanche 64-bit mix.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 /// Reflect `v` into [-half, half] (handles multiple bounces for steps
 /// longer than the area).
@@ -36,11 +29,10 @@ std::uint64_t geo_seed(std::uint64_t seed, GeoStream stream,
                        std::uint64_t entity, std::uint64_t step) {
   // Chain the mix so each argument lands in a distinct avalanche round:
   // equal XOR-sums of different tuples cannot collide.
-  std::uint64_t h = mix64(seed);
-  h = mix64(h ^ static_cast<std::uint64_t>(stream));
-  h = mix64(h ^ entity);
-  h = mix64(h ^ step);
-  return h;
+  std::uint64_t h = dsp::mix64(seed);
+  h = dsp::mix64(h ^ static_cast<std::uint64_t>(stream));
+  h = dsp::mix64(h ^ entity);
+  return dsp::mix64(h ^ step);
 }
 
 double log_distance_path_loss_db(const PathLossConfig& cfg, double dist) {
@@ -55,22 +47,24 @@ double shadowing_db(std::uint64_t seed, std::uint64_t station,
   // Fold (station, bss) into one entity counter; bss counts are tiny next
   // to the 2^32 stride, so tuples never alias.
   const std::uint64_t entity = (bss << 32) ^ station;
-  dsp::Rng rng(geo_seed(seed, GeoStream::kShadowing, entity, step));
-  return rng.gaussian(sigma_db);
+  return sigma_db * dsp::counter_gaussian(
+                        geo_seed(seed, GeoStream::kShadowing, entity, step));
 }
 
 Vec2 place_uniform(std::uint64_t seed, std::uint64_t entity,
                    double area_half_m) {
-  dsp::Rng rng(geo_seed(seed, GeoStream::kPlacement, entity));
-  return {rng.uniform(-area_half_m, area_half_m),
-          rng.uniform(-area_half_m, area_half_m)};
+  const std::uint64_t key = geo_seed(seed, GeoStream::kPlacement, entity);
+  const double span = 2.0 * area_half_m;
+  return {-area_half_m + span * dsp::counter_uniform(key, 0),
+          -area_half_m + span * dsp::counter_uniform(key, 1)};
 }
 
 Vec2 walk_step(Vec2 pos, std::uint64_t seed, std::uint64_t station,
                std::uint64_t step, double step_m, double area_half_m) {
   if (!(step_m > 0.0)) return pos;
-  dsp::Rng rng(geo_seed(seed, GeoStream::kWalk, station, step));
-  const double theta = rng.uniform(0.0, 2.0 * M_PI);
+  const double theta =
+      2.0 * M_PI *
+      dsp::counter_uniform(geo_seed(seed, GeoStream::kWalk, station, step));
   return {reflect(pos.x + step_m * std::cos(theta), area_half_m),
           reflect(pos.y + step_m * std::sin(theta), area_half_m)};
 }

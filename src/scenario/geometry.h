@@ -11,6 +11,16 @@
 // stations surround it. That is the scenario-level analogue of
 // core::packet_seed's per-packet contract, and what makes drop traces
 // byte-identical across thread counts.
+//
+// The draws themselves are stateless: each is dsp::counter_uniform /
+// dsp::counter_gaussian of its geo_seed key (a few multiplies and, for
+// shadowing, one log/sqrt/cos), with no generator object behind it.
+// Drop traces recorded while each draw still seeded a dsp::Rng (a
+// Mersenne Twister) from its geo_seed do not reproduce by seed: the keys
+// are the same, but positions, walk directions and shadowing values all
+// moved. Geometry never enters a link fingerprint (a station's link
+// carries only its binned SNR and adjacent-channel level), so stored
+// curves and checkpoints are unaffected.
 #pragma once
 
 #include <cstdint>

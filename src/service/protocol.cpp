@@ -53,6 +53,16 @@ bool get_bool(const Json& j, const char* key, bool fallback) {
   return v ? v->as_bool() : fallback;
 }
 
+/// Decode-time range check: reject on the wire what WlanLink or run_drop
+/// would only reject later, or never.
+void check_field(bool ok, const char* key, const char* want) {
+  if (!ok)
+    throw std::runtime_error(std::string("protocol: \"") + key +
+                             "\" must be " + want);
+}
+
+bool finite_nonnegative(double v) { return std::isfinite(v) && v >= 0.0; }
+
 long rate_to_mbps(phy::Rate r) {
   return static_cast<long>(phy::rate_params(r).rate_mbps);
 }
@@ -112,6 +122,8 @@ core::LinkConfig link_from_json(const Json& j) {
   cfg.rate = rate_from_mbps_value(get_u64(j, "rate_mbps", 24));
   cfg.psdu_bytes =
       static_cast<std::size_t>(get_u64(j, "psdu_bytes", cfg.psdu_bytes));
+  check_field(cfg.psdu_bytes >= 1 && cfg.psdu_bytes <= 4095, "psdu_bytes",
+              "1..4095");
   cfg.rx_power_dbm = get_double(j, "rx_power_dbm", cfg.rx_power_dbm);
   if (const Json* snr = j.find("snr_db")) {
     cfg.snr_db = snr->as_double();
@@ -133,6 +145,9 @@ core::LinkConfig link_from_json(const Json& j) {
       get_double(j, "lna_p1db_in_dbm", cfg.rf.lna_p1db_in_dbm);
   cfg.rf.bb_bandwidth_factor =
       get_double(j, "bb_bandwidth_factor", cfg.rf.bb_bandwidth_factor);
+  check_field(std::isfinite(cfg.rf.bb_bandwidth_factor) &&
+                  cfg.rf.bb_bandwidth_factor > 0.0,
+              "bb_bandwidth_factor", "a finite number > 0");
   cfg.sco_ppm = get_double(j, "sco_ppm", cfg.sco_ppm);
   if (const Json* adj = j.find("adjacent")) {
     channel::InterfererConfig ic;
@@ -166,6 +181,12 @@ sim::StoppingRule rule_from_json(const Json& j) {
       static_cast<std::size_t>(get_u64(j, "min_packets", rule.min_packets));
   rule.max_packets =
       static_cast<std::size_t>(get_u64(j, "max_packets", rule.max_packets));
+  check_field(finite_nonnegative(rule.target_rel_ci), "target_rel_ci",
+              "a finite number >= 0");
+  check_field(finite_nonnegative(rule.confidence_z), "confidence_z",
+              "a finite number >= 0");
+  check_field(rule.max_packets >= 1 && rule.max_packets >= rule.min_packets,
+              "max_packets", ">= 1 and >= min_packets");
   return rule;
 }
 
@@ -350,7 +371,14 @@ DropRequest DropRequest::from_json(const Json& j) {
       static_cast<std::size_t>(get_u64(j, "num_stations", cfg.num_stations));
   cfg.num_steps =
       static_cast<std::size_t>(get_u64(j, "num_steps", cfg.num_steps));
+  check_field(cfg.num_steps == 0 ||
+                  cfg.num_stations <=
+                      std::numeric_limits<std::size_t>::max() / cfg.num_steps,
+              "num_stations", "small enough that num_stations x num_steps "
+              "fits a size_t");
   cfg.area_half_m = get_double(j, "area_half_m", cfg.area_half_m);
+  check_field(finite_nonnegative(cfg.area_half_m), "area_half_m",
+              "a finite number >= 0");
   if (const Json* ap = j.find("ap")) {
     cfg.ap.x = get_double(*ap, "x", 0.0);
     cfg.ap.y = get_double(*ap, "y", 0.0);
@@ -366,10 +394,14 @@ DropRequest DropRequest::from_json(const Json& j) {
     cfg.path_loss.exponent = get_double(*pl, "exponent", cfg.path_loss.exponent);
     cfg.path_loss.shadowing_sigma_db =
         get_double(*pl, "shadowing_sigma_db", cfg.path_loss.shadowing_sigma_db);
+    check_field(finite_nonnegative(cfg.path_loss.shadowing_sigma_db),
+                "shadowing_sigma_db", "a finite number >= 0");
     cfg.path_loss.min_distance_m =
         get_double(*pl, "min_distance_m", cfg.path_loss.min_distance_m);
   }
   cfg.mobility.step_m = get_double(j, "walk_step_m", cfg.mobility.step_m);
+  check_field(finite_nonnegative(cfg.mobility.step_m), "walk_step_m",
+              "a finite number >= 0");
   if (const Json* bsses = j.find("interferers")) {
     if (!bsses->is_array())
       throw std::runtime_error("protocol: \"interferers\" must be an array");

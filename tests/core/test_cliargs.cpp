@@ -88,6 +88,19 @@ TEST(StoppingRuleFromArgs, RejectsNegativeCounts) {
                std::invalid_argument);
 }
 
+TEST(StoppingRuleFromArgs, RejectsMaxPacketsBelowMinPackets) {
+  // The default min_packets is 8.
+  EXPECT_THROW((void)stopping_rule_from_args(parse({"--max-packets", "4"})),
+               std::invalid_argument);
+  EXPECT_THROW((void)stopping_rule_from_args(
+                   parse({"--min-packets", "16", "--max-packets", "15"})),
+               std::invalid_argument);
+  const auto rule = stopping_rule_from_args(
+      parse({"--min-packets", "4", "--max-packets", "4"}));
+  ASSERT_TRUE(rule.has_value());
+  EXPECT_EQ(rule->max_packets, 4u);
+}
+
 TEST(StoppingRuleFromArgs, RejectsNegativeOrNonFiniteTargetCi) {
   for (const char* v : {"-0.1", "nan", "inf"}) {
     const CliArgs a = parse({"--target-ci", v});

@@ -30,6 +30,20 @@ TEST(WlanLink, ReproducibleForSameSeed) {
   EXPECT_DOUBLE_EQ(ra.evm_rms, rb.evm_rms);
 }
 
+TEST(PacketSeed, IsTheSplitmixOfTheIndexedGoldenStride) {
+  // Every packet stream descends from packet_seed; it must stay the
+  // splitmix64 output for state seed + (idx + 1) * golden, written out
+  // here independently of dsp::mix64.
+  for (const std::uint64_t seed : {0ull, 7ull, (1ull << 62) + 12345}) {
+    for (const std::uint64_t idx : {0ull, 1ull, 511ull, ~0ull}) {
+      std::uint64_t z = seed + (idx + 1) * 0x9e3779b97f4a7c15ull;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      EXPECT_EQ(packet_seed(seed, idx), z ^ (z >> 31));
+    }
+  }
+}
+
 TEST(WlanLink, DifferentPacketsDiffer) {
   LinkConfig cfg = default_link_config();
   WlanLink link(cfg);

@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +159,160 @@ TEST(Rng, ForkProducesIndependentStream) {
   for (int i = 0; i < 50; ++i)
     if (a.uniform() == child.uniform()) ++same;
   EXPECT_LT(same, 3);
+}
+
+// Counter-based draws. Every key set below is deterministic and every
+// threshold sits at p < 1e-6 under the null hypothesis, so a failure means
+// a broken generator, not an unlucky run.
+
+/// Inverse of mix64 (each xorshift and odd multiply is invertible mod
+/// 2^64): lets the tests aim a key at an exact raw output.
+std::uint64_t unmix64(std::uint64_t y) {
+  const auto unxorshift = [](std::uint64_t v, int s) {
+    std::uint64_t x = v;
+    for (int i = 0; i < 64 / s + 1; ++i) x = v ^ (x >> s);
+    return x;
+  };
+  const auto inverse = [](std::uint64_t a) {  // Newton: a * x == 1 mod 2^64
+    std::uint64_t x = a;
+    for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+    return x;
+  };
+  y = unxorshift(y, 31) * inverse(0x94d049bb133111ebull);
+  y = unxorshift(y, 27) * inverse(0xbf58476d1ce4e5b9ull);
+  return unxorshift(y, 30) - 0x9e3779b97f4a7c15ull;
+}
+
+/// Pearson statistic of `counts` against `expected` per bin.
+double chi_square(const std::vector<double>& counts,
+                  const std::vector<double>& expected) {
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    const double d = counts[b] - expected[b];
+    chi2 += d * d / expected[b];
+  }
+  return chi2;
+}
+
+constexpr int kDraws = 100000;
+// Two-sided standard-normal quantile at p = 1e-6.
+constexpr double kZ = 4.8916;
+
+TEST(CounterRng, Mix64IsTheSplitmix64OutputFunction) {
+  // Reference values of SplitMix64 seeded with 0 (state advances by the
+  // golden increment before each output).
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(mix64(0x9e3779b97f4a7c15ull), 0x6e789e6aa1b965f4ull);
+  for (std::uint64_t t : {0ull, 1ull, ~0ull, 0x0123456789abcdefull})
+    EXPECT_EQ(mix64(unmix64(t)), t);
+}
+
+TEST(CounterRng, UniformStaysInUnitIntervalIncludingExtremes) {
+  for (std::uint64_t key = 0; key < kDraws; ++key) {
+    const double u = counter_uniform(key, key % 3);
+    ASSERT_GE(u, 0.0);
+    ASSERT_LT(u, 1.0);
+  }
+  // Keys aimed at the raw extremes: all-zero bits give exactly 0, all-one
+  // bits the largest double below 1.
+  EXPECT_EQ(counter_uniform(unmix64(0)), 0.0);
+  EXPECT_EQ(counter_uniform(unmix64(~0ull)), 1.0 - 0x1p-53);
+  EXPECT_LT(counter_uniform(unmix64(~0ull)), 1.0);
+  // The counter offsets the key by golden strides.
+  EXPECT_EQ(counter_uniform(unmix64(0) - 2 * 0x9e3779b97f4a7c15ull, 2), 0.0);
+}
+
+TEST(CounterRng, GaussianIsFiniteAtTheRadiusExtremes) {
+  // u1 = 1 (raw all-zero): radius 0. u1 = 2^-53 (raw all-one): the
+  // largest radius, sqrt(106 ln 2).
+  EXPECT_EQ(counter_gaussian(unmix64(0)), 0.0);
+  const double far = counter_gaussian(unmix64(~0ull));
+  EXPECT_TRUE(std::isfinite(far));
+  EXPECT_LE(std::abs(far), std::sqrt(106.0 * std::log(2.0)) + 1e-12);
+}
+
+TEST(CounterRng, UniformPassesChiSquareOnSequentialKeys) {
+  constexpr int kBins = 64;
+  std::vector<double> counts(kBins, 0.0);
+  for (std::uint64_t key = 0; key < kDraws; ++key)
+    counts[static_cast<int>(counter_uniform(key) * kBins)] += 1.0;
+  const std::vector<double> expected(kBins, double(kDraws) / kBins);
+  EXPECT_LT(chi_square(counts, expected), 131.37);  // chi2(63) at 1e-6
+}
+
+TEST(CounterRng, GaussianMomentsMatchStandardNormal) {
+  double s1 = 0.0, s2 = 0.0, s4 = 0.0;
+  for (std::uint64_t key = 0; key < kDraws; ++key) {
+    const double x = counter_gaussian(key);
+    s1 += x;
+    s2 += x * x;
+    s4 += x * x * x * x;
+  }
+  const double n = kDraws;
+  const double mean = s1 / n;
+  const double var = s2 / n - mean * mean;
+  // Standard errors for N(0,1): mean 1/sqrt(n), variance sqrt(2/n),
+  // kurtosis sqrt(24/n).
+  EXPECT_NEAR(mean, 0.0, kZ / std::sqrt(n));
+  EXPECT_NEAR(var, 1.0, kZ * std::sqrt(2.0 / n));
+  EXPECT_NEAR(s4 / n / (var * var), 3.0, kZ * std::sqrt(24.0 / n));
+}
+
+TEST(CounterRng, GaussianPassesChiSquareAgainstNormalCdf) {
+  // 28 bins of width 0.25 over [-3.5, 3.5] plus the two tails (>= 23
+  // expected counts each).
+  constexpr double kEdge = 3.5, kWidth = 0.25;
+  constexpr int kInner = 28;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto cdf = [](double z) {
+    return 0.5 * std::erfc(-z / std::sqrt(2.0));
+  };
+  std::vector<double> counts(kInner + 2, 0.0), expected(kInner + 2, 0.0);
+  for (int b = 0; b < kInner + 2; ++b) {
+    const double lo = b == 0 ? -kInf : -kEdge + (b - 1) * kWidth;
+    const double hi = b == kInner + 1 ? kInf : -kEdge + b * kWidth;
+    expected[b] = kDraws * (cdf(hi) - cdf(lo));
+  }
+  for (std::uint64_t key = 0; key < kDraws; ++key) {
+    const double x = counter_gaussian(key);
+    int b = kInner + 1;
+    if (x < -kEdge) {
+      b = 0;
+    } else if (x < kEdge) {
+      b = std::min(kInner, 1 + static_cast<int>((x + kEdge) / kWidth));
+    }
+    counts[b] += 1.0;
+  }
+  EXPECT_LT(chi_square(counts, expected), 80.44);  // chi2(29) at 1e-6
+}
+
+TEST(CounterRng, AdjacentKeysAreUncorrelated) {
+  // Lag-1 correlation over sequential keys, and between the two counters
+  // Box-Muller pairs under one key; each has standard error 1/sqrt(n).
+  const auto corr = [](auto&& a, auto&& b) {
+    double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+    for (std::uint64_t key = 0; key < kDraws; ++key) {
+      const double x = a(key), y = b(key);
+      sa += x;
+      sb += y;
+      saa += x * x;
+      sbb += y * y;
+      sab += x * y;
+    }
+    const double n = kDraws;
+    return (sab / n - sa / n * sb / n) /
+           std::sqrt((saa / n - sa / n * sa / n) * (sbb / n - sb / n * sb / n));
+  };
+  const double bound = kZ / std::sqrt(double(kDraws));
+  EXPECT_NEAR(corr([](std::uint64_t k) { return counter_uniform(k); },
+                   [](std::uint64_t k) { return counter_uniform(k + 1); }),
+              0.0, bound);
+  EXPECT_NEAR(corr([](std::uint64_t k) { return counter_uniform(k, 0); },
+                   [](std::uint64_t k) { return counter_uniform(k, 1); }),
+              0.0, bound);
+  EXPECT_NEAR(corr([](std::uint64_t k) { return counter_gaussian(k); },
+                   [](std::uint64_t k) { return counter_gaussian(k + 1); }),
+              0.0, bound);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // bounds, reflecting random walk, and the path-loss / shadowing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "scenario/geometry.h"
 
@@ -119,6 +122,113 @@ TEST(Shadowing, RoughlyGaussianScale) {
   const double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.5);
   EXPECT_NEAR(std::sqrt(var), sigma, 0.5);
+}
+
+// Independent reference for the stateless draws: splitmix64 and the
+// geo_seed chain written out here, textbook Box-Muller on top. The pinned
+// checks compare the library against this, not against its own output.
+std::uint64_t ref_splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+std::uint64_t ref_key(std::uint64_t seed, std::uint64_t stream,
+                      std::uint64_t entity, std::uint64_t step) {
+  std::uint64_t h = ref_splitmix64(seed);
+  h = ref_splitmix64(h ^ stream);
+  h = ref_splitmix64(h ^ entity);
+  return ref_splitmix64(h ^ step);
+}
+
+/// Draw `k` under `key`: top 53 bits of splitmix64(key + k * golden).
+double ref_unit(std::uint64_t key, std::uint64_t k) {
+  const std::uint64_t bits =
+      ref_splitmix64(key + k * 0x9e3779b97f4a7c15ull) >> 11;
+  return std::ldexp(static_cast<double>(bits), -53);
+}
+
+TEST(GeoSeed, PinnedAgainstAnOutOfTreeSplitmixChain) {
+  // Hex values from a separate big-integer implementation of the chain.
+  EXPECT_EQ(geo_seed(1, GeoStream::kWalk, 3, 5), 0x32bca143daa28e58ull);
+  EXPECT_EQ(ref_key(1, 2, 3, 5), 0x32bca143daa28e58ull);
+}
+
+TEST(Shadowing, PinnedToReferenceBoxMuller) {
+  for (const auto& [seed, station, bss, step] :
+       {std::array<std::uint64_t, 4>{9, 3, 1, 2}, {7, 11, 2, 4}, {1, 0, 0, 0},
+        {123456789, 999, 5, 77}}) {
+    const std::uint64_t key = ref_key(seed, 3, (bss << 32) ^ station, step);
+    const double u1 = 1.0 - ref_unit(key, 0);  // in (0, 1]
+    const double u2 = ref_unit(key, 1);
+    const double want =
+        6.0 * std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    EXPECT_NEAR(shadowing_db(seed, station, bss, step, 6.0), want, 1e-12);
+  }
+  // The same tuple through a separate big-integer implementation.
+  EXPECT_NEAR(shadowing_db(9, 3, 1, 2, 6.0), -3.218750248070898, 1e-12);
+}
+
+TEST(Placement, PinnedToReferenceDraws) {
+  for (std::uint64_t entity : {0ull, 1ull, 17ull, (1ull << 32) + 2}) {
+    const std::uint64_t key = ref_key(42, 1, entity, 0);
+    const Vec2 p = place_uniform(42, entity, 30.0);
+    EXPECT_NEAR(p.x, -30.0 + 60.0 * ref_unit(key, 0), 1e-12);
+    EXPECT_NEAR(p.y, -30.0 + 60.0 * ref_unit(key, 1), 1e-12);
+  }
+}
+
+TEST(Walk, PinnedToReferenceDirection) {
+  for (std::uint64_t step : {1ull, 2ull, 50ull}) {
+    const double theta = 2.0 * M_PI * ref_unit(ref_key(7, 2, 4, step), 0);
+    const Vec2 q = walk_step({0.0, 0.0}, 7, 4, step, 1.0, 100.0);
+    EXPECT_NEAR(q.x, std::cos(theta), 1e-12);
+    EXPECT_NEAR(q.y, std::sin(theta), 1e-12);
+  }
+}
+
+// Distribution checks over deterministic tuples, thresholds at p < 1e-6.
+constexpr int kDraws = 100000;
+constexpr double kChi2_63 = 131.37;  // chi2(63) upper quantile at 1e-6
+
+double chi_square_uniform(const std::vector<double>& counts) {
+  const double expected = double(kDraws) / counts.size();
+  double chi2 = 0.0;
+  for (double c : counts) chi2 += (c - expected) * (c - expected) / expected;
+  return chi2;
+}
+
+TEST(Placement, PassesTwoDimensionalChiSquare) {
+  constexpr int kSide = 8;  // 8 x 8 cells
+  constexpr double kHalf = 30.0;
+  std::vector<double> counts(kSide * kSide, 0.0);
+  const auto cell = [&](double v) {
+    return std::min(kSide - 1,
+                    static_cast<int>((v + kHalf) / (2.0 * kHalf) * kSide));
+  };
+  for (std::uint64_t e = 0; e < kDraws; ++e) {
+    const Vec2 p = place_uniform(42, e, kHalf);
+    counts[cell(p.y) * kSide + cell(p.x)] += 1.0;
+  }
+  EXPECT_LT(chi_square_uniform(counts), kChi2_63);
+}
+
+TEST(Walk, DirectionsPassAngleChiSquare) {
+  constexpr int kBins = 64;
+  std::vector<double> counts(kBins, 0.0);
+  for (std::uint64_t station = 0; station < 1000; ++station) {
+    for (std::uint64_t step = 1; step <= kDraws / 1000; ++step) {
+      // A unit step from the centre of a large area never reflects, so the
+      // displacement angle is the drawn direction.
+      const Vec2 q = walk_step({0.0, 0.0}, 5, station, step, 1.0, 100.0);
+      double theta = std::atan2(q.y, q.x);
+      if (theta < 0.0) theta += 2.0 * M_PI;
+      counts[std::min(kBins - 1,
+                      static_cast<int>(theta / (2.0 * M_PI) * kBins))] += 1.0;
+    }
+  }
+  EXPECT_LT(chi_square_uniform(counts), kChi2_63);
 }
 
 }  // namespace

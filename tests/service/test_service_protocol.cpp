@@ -203,5 +203,135 @@ TEST(ServiceProtocol, MalformedLinkJsonThrows) {
   EXPECT_THROW(link_from_json(j), std::runtime_error);
 }
 
+// --- decode-time range checks ---------------------------------------------
+// Values WlanLink or run_drop would only reject later (or never) fail at
+// decode with a protocol error, one test per field.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+/// `base` with member `key` replaced by `v`.
+Json with(Json base, const char* key, Json v) {
+  base.set(key, std::move(v));
+  return base;
+}
+
+Json valid_drop_json() {
+  DropRequest req;
+  req.cfg.num_stations = 5;
+  req.cfg.num_steps = 2;
+  req.cfg.link = core::default_link_config();
+  return req.to_json();
+}
+
+/// A valid drop request whose `section` sub-object has `key` set to `v`.
+Json drop_with_nested(const char* section, const char* key, Json v) {
+  const Json drop = valid_drop_json();
+  return with(drop, section, with(*drop.find(section), key, std::move(v)));
+}
+
+TEST(ServiceProtocol, ValidDropJsonDecodes) {
+  // The baseline the reject tests mutate, plus the boundary values that
+  // stay legal: zero area, zero walk, zero shadowing, and a fixed budget
+  // with max_packets == min_packets.
+  EXPECT_NO_THROW(DropRequest::from_json(valid_drop_json()));
+  Json drop = with(valid_drop_json(), "walk_step_m", Json::number(0.0));
+  drop = with(drop, "area_half_m", Json::number(0.0));
+  const sim::StoppingRule rule = sim::fixed_budget(8);  // min_packets 8
+  drop = with(drop, "rule", rule_to_json(rule));
+  EXPECT_NO_THROW(DropRequest::from_json(drop));
+  EXPECT_NO_THROW(DropRequest::from_json(
+      drop_with_nested("path_loss", "shadowing_sigma_db", Json::number(0.0))));
+}
+
+TEST(ServiceProtocol, LinkRejectsPsduOutsideOneTo4095) {
+  const Json link = link_to_json(core::default_link_config());
+  for (std::uint64_t bytes : {0ull, 4096ull, 1ull << 40}) {
+    EXPECT_THROW(
+        link_from_json(with(link, "psdu_bytes", Json::number_u64(bytes))),
+        std::runtime_error)
+        << bytes;
+  }
+  EXPECT_NO_THROW(
+      link_from_json(with(link, "psdu_bytes", Json::number_u64(4095))));
+}
+
+TEST(ServiceProtocol, LinkRejectsNonPositiveBandwidthFactor) {
+  const Json link = link_to_json(core::default_link_config());
+  for (double f : {0.0, -0.5, kInf, kNan}) {
+    EXPECT_THROW(
+        link_from_json(with(link, "bb_bandwidth_factor", Json::number(f))),
+        std::runtime_error)
+        << f;
+  }
+}
+
+TEST(ServiceProtocol, RuleRejectsZeroOrBelowMinMaxPackets) {
+  sim::StoppingRule rule;
+  rule.min_packets = 16;
+  const Json j = rule_to_json(rule);
+  EXPECT_THROW(rule_from_json(with(j, "max_packets", Json::number_u64(0))),
+               std::runtime_error);
+  EXPECT_THROW(rule_from_json(with(j, "max_packets", Json::number_u64(15))),
+               std::runtime_error);
+  EXPECT_NO_THROW(rule_from_json(with(j, "max_packets", Json::number_u64(16))));
+}
+
+TEST(ServiceProtocol, RuleRejectsNegativeOrNonFiniteTargetCi) {
+  const Json j = rule_to_json(sim::StoppingRule{});
+  for (double v : {-0.1, kInf, kNan}) {
+    EXPECT_THROW(rule_from_json(with(j, "target_rel_ci", Json::number(v))),
+                 std::runtime_error)
+        << v;
+  }
+}
+
+TEST(ServiceProtocol, RuleRejectsNegativeOrNonFiniteConfidenceZ) {
+  const Json j = rule_to_json(sim::StoppingRule{});
+  for (double v : {-1.96, kInf, kNan}) {
+    EXPECT_THROW(rule_from_json(with(j, "confidence_z", Json::number(v))),
+                 std::runtime_error)
+        << v;
+  }
+}
+
+TEST(ServiceProtocol, DropRejectsNegativeOrNonFiniteAreaHalf) {
+  for (double v : {-1.0, kInf, kNan}) {
+    EXPECT_THROW(DropRequest::from_json(
+                     with(valid_drop_json(), "area_half_m", Json::number(v))),
+                 std::runtime_error)
+        << v;
+  }
+}
+
+TEST(ServiceProtocol, DropRejectsNegativeOrNonFiniteShadowingSigma) {
+  for (double v : {-6.0, kInf, kNan}) {
+    EXPECT_THROW(DropRequest::from_json(drop_with_nested(
+                     "path_loss", "shadowing_sigma_db", Json::number(v))),
+                 std::runtime_error)
+        << v;
+  }
+}
+
+TEST(ServiceProtocol, DropRejectsNegativeOrNonFiniteWalkStep) {
+  for (double v : {-1.0, kInf, kNan}) {
+    EXPECT_THROW(DropRequest::from_json(
+                     with(valid_drop_json(), "walk_step_m", Json::number(v))),
+                 std::runtime_error)
+        << v;
+  }
+}
+
+TEST(ServiceProtocol, DropRejectsStationStepProductOverflow) {
+  Json drop = with(valid_drop_json(), "num_stations",
+                   Json::number_u64(1ull << 33));
+  EXPECT_THROW(DropRequest::from_json(
+                   with(drop, "num_steps", Json::number_u64(1ull << 31))),
+               std::runtime_error);
+  // 2^33 x 2^30 = 2^63 still fits.
+  EXPECT_NO_THROW(DropRequest::from_json(
+      with(drop, "num_steps", Json::number_u64(1ull << 30))));
+}
+
 }  // namespace
 }  // namespace wlansim::service
